@@ -75,8 +75,9 @@ func bestOf3(f func(b *testing.B)) testing.BenchmarkResult {
 }
 
 // measureARDSolve benchmarks the factored ARD solve at the paper's headline
-// configuration (N=512, M=16, P=8) for single and batched right-hand
-// sides. GFLOP/s uses the solver's analytic flop count.
+// configuration (N=512, M=16, P=8) for single, narrow (R=4, below one
+// 8-column panel) and batched right-hand sides. GFLOP/s uses the solver's
+// analytic flop count.
 func measureARDSolve() ([]perfEntry, error) {
 	a := workload.Build(workload.Oscillatory, 512, 16, 1)
 	ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
@@ -84,7 +85,7 @@ func measureARDSolve() ([]perfEntry, error) {
 		return nil, fmt.Errorf("ARD factor: %v", err)
 	}
 	var entries []perfEntry
-	for _, r := range []int{1, 64, 256} {
+	for _, r := range []int{1, 4, 64, 256} {
 		rhs := a.RandomRHS(r, rand.New(rand.NewSource(2)))
 		x := blocktri.NewDenseMatrix(rhs.Rows, rhs.Cols)
 		if err := ard.SolveTo(x, rhs); err != nil { // warm the arenas
@@ -110,10 +111,11 @@ func measureARDSolve() ([]perfEntry, error) {
 }
 
 // measureGEMM benchmarks Mul across the kernel dispatch tiers: square
-// shapes for plain tiled (16, 32) and the packed register-blocked kernel
-// (64, 128), plus the skinny-panel shapes the panelized ARD solve phase
-// actually issues — a 32x32 transfer half against a 32xR right-hand-side
-// panel.
+// shapes (16 to 128), the skinny-panel shapes the panelized ARD solve
+// phase issues — a 32x32 transfer half against a 32xR right-hand-side
+// panel — and the narrow tier below one 8-column panel, where the unpacked
+// product reads A and B in place: the 16x32 applyT half-product against
+// one and four columns.
 func measureGEMM() ([]perfEntry, error) {
 	var entries []perfEntry
 	shapes := []struct {
@@ -126,6 +128,8 @@ func measureGEMM() ([]perfEntry, error) {
 		{128, 128, 128, "GEMM/n=128"},
 		{32, 32, 64, "GEMM/m=32,k=32,n=64"},
 		{32, 32, 256, "GEMM/m=32,k=32,n=256"},
+		{16, 32, 1, "GEMM/m=16,k=32,n=1"},
+		{16, 32, 4, "GEMM/m=16,k=32,n=4"},
 	}
 	for _, sh := range shapes {
 		a := mat.New(sh.m, sh.k)

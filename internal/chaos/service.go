@@ -149,8 +149,10 @@ func typedServiceFailure(err error) bool {
 }
 
 // defaultServiceFault is the seeded backend plan: recoverable message
-// faults at rates the retransmit protocol absorbs, plus one early crash so
-// the retry path runs at least once per world.
+// faults at rates the retransmit protocol absorbs, plus one crash at the
+// first operation of a seeded rank. RunService's probe request is the
+// first run on the world, so the crash always lands in a factorization
+// the service retries, never in one whose failure a fallback absorbs.
 func defaultServiceFault(rng *rand.Rand, p int) *comm.FaultPlan {
 	return &comm.FaultPlan{
 		Seed:      rng.Int63(),
@@ -158,7 +160,7 @@ func defaultServiceFault(rng *rand.Rand, p int) *comm.FaultPlan {
 		Dup:       0.03 + rng.Float64()*0.04,
 		Corrupt:   0.02 + rng.Float64()*0.03,
 		CrashRank: rng.Intn(p),
-		CrashAtOp: 1 + rng.Intn(20),
+		CrashAtOp: 1,
 	}
 }
 
@@ -209,6 +211,31 @@ func RunService(opts ServiceOptions) *ServiceReport {
 		mu.Lock()
 		violations = append(violations, fmt.Sprintf(format, args...))
 		mu.Unlock()
+	}
+
+	// The probe: one fixed request on a well-conditioned pool matrix, sent
+	// before the tenants start so it is the first run on the backend world.
+	// It is held to the same promise as every tenant request.
+	for _, pe := range pool {
+		if pe.boost {
+			continue
+		}
+		b := pe.a.RandomRHS(1, rand.New(rand.NewSource(opts.Seed)))
+		res, err := srv.Submit(context.Background(), serve.Job{
+			Tenant:   "probe",
+			Matrix:   pe.a,
+			B:        b,
+			Deadline: time.Now().Add(opts.Deadline),
+		})
+		switch {
+		case err == nil:
+			if r := pe.a.RelResidual(res.X, b); r > 1e-6 {
+				violate("probe request: silent wrong answer, residual %.3e", r)
+			}
+		case !typedServiceFailure(err):
+			violate("probe request: untyped error: %v", err)
+		}
+		break
 	}
 
 	// Per-tenant request streams. Each tenant owns a decorrelated rng so

@@ -9,23 +9,25 @@ import (
 	"blocktri/internal/mat"
 )
 
-// The panelized ARD solve phase routes every transfer product through
-// MulAddPacked when the (m, k, rhs) shape clears mat.PanelPacked, and falls
-// back to the legacy Mul+Add sequence otherwise. These tests pin the two
-// parity contracts of that dispatch:
+// The ARD solve phase routes every transfer product through MulAddPacked
+// when the (m, k, rhs) shape clears mat.PanelPacked, and falls back to the
+// Mul+Add sequence otherwise. These tests pin the parity contracts of that
+// dispatch:
 //
 //   - RD vs ARD stays BITWISE equal at every panel width, because both
-//     solvers resolve each product shape to the same kernel and the packed
-//     seed-then-accumulate ordering is IEEE-add-commutative with the legacy
-//     Mul-then-Add ordering;
-//   - a panelized batch solve agrees with per-column solves only to
-//     rounding, because an R-wide panel and an R=1 column dispatch to
-//     different kernels with different accumulation widths.
+//     solvers resolve each product shape to the same kernel arithmetic and
+//     the packed seed-then-accumulate ordering is IEEE-add-commutative with
+//     the Mul-then-Add ordering;
+//   - with the AVX-512 FMA kernels (mat.FMAKernels), column j of a batched
+//     solve is BITWISE the solve of column j alone: every product with
+//     k >= 8 and every LU substitution gives each column the same
+//     arithmetic at every width. The portable kernels accumulate narrow and
+//     wide panels differently, so there the two agree only to rounding.
 
 // panelParitySystems builds the systems the parity tests share: a random
-// diagonally dominant matrix and an oscillatory workload system, both sized
-// so batched panels clear the packed-dispatch gate (M=8 gives the 8x16
-// applyT half-products that PanelPacked admits from R=64 up).
+// diagonally dominant matrix and an oscillatory workload system, both with
+// M=8, so the applyT half-products (8x16) are packed at every width on the
+// FMA kernels and at none on the portable ones.
 func panelParitySystems(rng *rand.Rand) []*blocktri.Matrix {
 	return []*blocktri.Matrix{
 		blocktri.RandomDiagDominant(64, 8, rng),
@@ -34,13 +36,12 @@ func panelParitySystems(rng *rand.Rand) []*blocktri.Matrix {
 }
 
 // TestPanelizedARDMatchesRDBitwise sweeps the panel widths across the
-// packed/legacy dispatch boundary: R=1 and R=2 stay on the legacy per-RHS
-// path, R=64 and R=256 run the full packed panel pipeline. Every width must
-// reproduce RD's bits exactly.
+// narrow (below one 8-column panel), edge-tile and wide regimes. Every
+// width must reproduce RD's bits exactly.
 func TestPanelizedARDMatchesRDBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for si, a := range panelParitySystems(rng) {
-		for _, r := range []int{1, 2, 64, 256} {
+		for _, r := range []int{1, 3, 4, 13, 64, 256} {
 			b := a.RandomRHS(r, rng)
 			xr, err := NewRD(a, Config{World: comm.NewWorld(4)}).Solve(b)
 			if err != nil {
@@ -57,11 +58,14 @@ func TestPanelizedARDMatchesRDBitwise(t *testing.T) {
 	}
 }
 
+// columnOf copies column j of m into a fresh n x 1 matrix.
+func columnOf(m *mat.Matrix, j int) *mat.Matrix { return m.Col(j).Clone() }
+
 // TestPanelizedMatchesPerColumnSolves checks the panel semantics: column j
 // of a batched solve is the solution for column j of the right-hand side.
-// The comparison is tolerance-based, not bitwise — a 1-wide column takes
-// the gemv path while the panel takes the packed kernel, and the two
-// accumulate in different orders.
+// With the FMA kernels the match is bitwise; on the portable kernels a
+// 1-wide column takes gemv while the panel takes the packed kernel, and the
+// comparison falls back to a tolerance.
 func TestPanelizedMatchesPerColumnSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(223))
 	// Tolerance comparisons need systems whose transfer products stay
@@ -85,31 +89,70 @@ func TestPanelizedMatchesPerColumnSolves(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range []int{0, 1, r / 2, r - 1} {
-			bj := mat.New(b.Rows, 1)
-			for i := 0; i < b.Rows; i++ {
-				bj.Set(i, 0, b.At(i, j))
-			}
-			xj, err := s.Solve(bj)
+			xj, err := s.Solve(columnOf(b, j))
 			if err != nil {
 				t.Fatal(err)
 			}
-			col := mat.New(b.Rows, 1)
-			for i := 0; i < b.Rows; i++ {
-				col.Set(i, 0, xp.At(i, j))
-			}
-			if !col.EqualApprox(xj, 1e-6) {
+			col := columnOf(xp, j)
+			if mat.FMAKernels() {
+				if !col.Equal(xj) {
+					t.Errorf("system %d: panel column %d differs from the per-column solve bitwise", si, j)
+				}
+			} else if !col.EqualApprox(xj, 1e-6) {
 				t.Errorf("system %d: panel column %d differs from per-column solve beyond tolerance", si, j)
 			}
 		}
 	}
 }
 
-// TestPanelDegenerateSingleRHS pins the degenerate end of the dispatch: a
-// 1-wide panel never enters the packed path (gemv owns n==1), and the
-// solver still produces an accurate solution there.
+// TestARDColumnsMatchWidthOneBitwise is the width contract end to end:
+// every column of an R-wide ARD SolveTo equals, bit for bit, the width-1
+// solve of that column, across block sizes whose products land on full
+// tiles (M=8, 16) and on partial 8-row panels (M=12).
+func TestARDColumnsMatchWidthOneBitwise(t *testing.T) {
+	if !mat.FMAKernels() {
+		t.Skip("the width contract holds only on the AVX-512 FMA kernels")
+	}
+	rng := rand.New(rand.NewSource(229))
+	for _, m := range []int{8, 12, 16} {
+		a := blocktri.Oscillatory(20, m, rng)
+		s := NewARD(a, Config{World: comm.NewWorld(4)})
+		if err := s.Factor(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []int{3, 8, 13, 64} {
+			b := a.RandomRHS(r, rng)
+			x := mat.New(b.Rows, r)
+			if err := s.SolveTo(x, b); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < r; j++ {
+				xj := mat.New(b.Rows, 1)
+				if err := s.SolveTo(xj, columnOf(b, j)); err != nil {
+					t.Fatal(err)
+				}
+				if !columnOf(x, j).Equal(xj) {
+					t.Errorf("M=%d R=%d: column %d != width-1 solve bitwise", m, r, j)
+				}
+			}
+		}
+	}
+}
+
+// TestPanelDegenerateSingleRHS pins the dispatch at the narrow end: with
+// the FMA kernels every width packs once k reaches one panel (8), so a
+// single-RHS solve multiplies the operands ARD packed at factor time;
+// below k = 8, and on the portable kernels at these widths, products stay
+// unpacked. The solver still produces an accurate solution at R=1.
 func TestPanelDegenerateSingleRHS(t *testing.T) {
-	if mat.PanelPacked(8, 16, 1) {
-		t.Error("PanelPacked(8, 16, 1) = true; single-RHS solves must stay on the gemv path")
+	fma := mat.FMAKernels()
+	for _, n := range []int{1, 2, 4, 7, 8, 13} {
+		if got := mat.PanelPacked(8, 16, n); got != fma {
+			t.Errorf("PanelPacked(8, 16, %d) = %v; want %v (FMA kernels %v)", n, got, fma, fma)
+		}
+	}
+	if mat.PanelPacked(8, 7, 1) {
+		t.Error("PanelPacked(8, 7, 1) = true; k below one panel must stay unpacked")
 	}
 	rng := rand.New(rand.NewSource(227))
 	// The oscillatory family keeps transfer growth bounded, so the residual

@@ -40,14 +40,15 @@ func TestLUSolveToAllocationFree(t *testing.T) {
 }
 
 // TestGEMMSerialAllocationFree pins both serial kernels: the small tiled
-// loop and the packed micro-kernel path (whose pack buffers come from the
-// pool, so steady state allocates nothing).
+// loop (portable kernels; the FMA kernels pack both sizes) and the packed
+// micro-kernel path (whose pack buffers come from the pool, so steady
+// state allocates nothing).
 func TestGEMMSerialAllocationFree(t *testing.T) {
 	cases := []struct {
 		name string
 		n    int
 	}{
-		{"tiled-16", 16},  // below packThreshold: plain tiled loop
+		{"tiled-16", 16},  // portable: below packThreshold, plain tiled loop
 		{"packed-48", 48}, // above packThreshold, below parallelThreshold
 	}
 	for _, tc := range cases {
@@ -65,9 +66,9 @@ func TestGEMMSerialAllocationFree(t *testing.T) {
 	}
 }
 
-// TestGEMVStridedAllocationFree pins the strided-column gather: the gather
-// buffer comes from the pack pool, so after the first call the gemv path
-// allocates nothing.
+// TestGEMVStridedAllocationFree pins the strided-column product: the
+// portable gemv gathers the column into a pack-pool buffer and the FMA
+// kernels read it in place, so after the first call neither allocates.
 func TestGEMVStridedAllocationFree(t *testing.T) {
 	a := New(64, 64)
 	fillSeq(a, 0.5)
@@ -103,8 +104,9 @@ func TestGEMMParallelAllocationBounded(t *testing.T) {
 // TestMulAddPackedAllocationFree pins the panelized solve-phase contract:
 // with the A-panel packed once into a caller-provided arena slice and the
 // B-scratch supplied per call, MulAddPacked touches the heap zero times —
-// for every panel width the ARD solve issues, including the narrow shapes
-// that fall back to the unpacked GEMM path.
+// for every panel width the ARD solve issues, including R=1, which runs the
+// narrow FMA kernel on B in place or, on the portable kernels, falls back
+// to the unpacked GEMM path.
 func TestMulAddPackedAllocationFree(t *testing.T) {
 	prev := ParallelEnabled()
 	defer SetParallel(prev)

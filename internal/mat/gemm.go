@@ -17,29 +17,25 @@ const gemmBlock = 64
 const parallelThreshold = 1 << 18
 
 // packThreshold is the minimum number of multiply-add operations before
-// GEMM packs the operands into contiguous tiles for the register-blocked
-// micro-kernel. With the scalar 4x4 kernel the packed path additionally
-// requires every operand dimension to reach packMinDim, because on skinny
-// products the packing traffic costs more than the kernel saves. The
-// AVX-512 8x8 kernel amortizes packing much earlier and on much skinnier
-// panels — exactly the M x R right-hand-side panels the solve phase runs —
-// so its threshold (packThreshold8) is lower and only requires k and n to
-// cover one vector register. The dispatch depends only on operand shape
-// and the process-constant panel width, so a given multiply always takes
-// the same path and results stay deterministic.
+// the portable GEMM packs the operands into contiguous tiles for the 4x4
+// micro-kernel, which additionally requires every operand dimension to
+// reach packMinDim: on skinny products the packing traffic costs more than
+// the scalar kernel saves. The AVX-512 FMA kernels have no threshold (see
+// panelOK). The dispatch depends only on operand shape and the
+// process-constant panel width, so a given multiply always takes the same
+// path and results stay deterministic.
 const (
-	packThreshold  = 1 << 15
-	packThreshold8 = 1 << 13
-	packMinDim     = 32
+	packThreshold = 1 << 15
+	packMinDim    = 32
 )
 
 // micro-kernel register blocks. panelW is the packing width: A panels are
 // panelW rows tall, B panels panelW columns wide. It is microMR (the
 // scalar 4x4 kernel) unless AVX-512 is available, in which case init
-// raises it to avxPanelW and full tiles run the 8x8 assembly kernel with
-// the scalar kernel covering edge quadrants. panelW is fixed before main
-// and never changes afterwards, so every pack and every kernel in a
-// process agree on the layout.
+// raises it to avxPanelW and every tile, full or edge, runs an FMA
+// assembly kernel. panelW is fixed before main and never changes
+// afterwards, so every pack and every kernel in a process agree on the
+// layout.
 const (
 	microMR   = 4
 	microNR   = 4
@@ -55,16 +51,16 @@ var panelW = microMR
 // compute costs stay attributable to the rank that performed them.
 var parallelOn atomic.Bool
 
-// vecAxpy enables the 8-wide FMA axpy kernel inside the triangular
-// solves; set alongside the 8-wide GEMM panel width so the whole dense
-// substrate switches vector ISA together.
-var vecAxpy bool
+// fmaKernels selects the AVX-512 FMA kernels for products with k >= 8 and
+// for every LU substitution. init sets it together with the 8-wide panel
+// width, so the whole dense substrate switches vector ISA at once.
+var fmaKernels bool
 
 func init() {
 	parallelOn.Store(true)
 	if avx512Available() {
 		panelW = avxPanelW
-		vecAxpy = true
+		fmaKernels = true
 	}
 }
 
@@ -78,23 +74,28 @@ func SetParallel(on bool) { parallelOn.Store(on) }
 // goroutines.
 func ParallelEnabled() bool { return parallelOn.Load() }
 
+// FMAKernels reports whether the AVX-512 FMA kernels are active. They carry
+// every product with k >= 8 and every LU solve, and give each column of a
+// panel exactly the bits it would get if solved alone. The portable
+// kernels make no such cross-width promise.
+func FMAKernels() bool { return fmaKernels }
+
 // panelOK reports whether an m x k by k x n product takes the packed
-// register-blocked path. Single-column products always go through gemv.
+// register-blocked path. With the FMA kernels that is every product with
+// k >= 8, at every width: fewer than eight columns run the same kernel on
+// B in place. The portable 4x4 kernel needs enough work and every
+// dimension at packMinDim; single columns stay on gemv.
 //
 //perf:inline
 func panelOK(m, k, n int) bool {
-	if n < 2 {
-		return false
+	if fmaKernels {
+		return k >= avxPanelW
 	}
-	ops := m * k * n
-	if panelW == avxPanelW {
-		return ops >= packThreshold8 && k >= avxPanelW && n >= avxPanelW
-	}
-	return ops >= packThreshold && min(min(m, k), n) >= packMinDim
+	return n >= 2 && m*k*n >= packThreshold && min(min(m, k), n) >= packMinDim
 }
 
 // PanelPacked reports whether an m x k by k x n product runs on the packed
-// register-blocked kernel (8x8 tiles when AVX-512 is available, 4x4
+// register-blocked kernel (the AVX-512 FMA kernels when available, 4x4
 // otherwise). Callers that maintain prepacked operands use it to decide
 // whether a shape is worth packing at all: MulAddPacked falls back to
 // plain GEMM exactly when this returns false, so gating a prepack on
@@ -169,6 +170,10 @@ func GEMM(alpha float64, a, b *Matrix, beta float64, dst *Matrix) {
 	if alpha == 0 || a.Rows == 0 || a.Cols == 0 || b.Cols == 0 {
 		return
 	}
+	if fmaKernels && a.Cols >= avxPanelW && b.Cols < avxPanelW {
+		gemmNarrow(alpha, a, b, dst)
+		return
+	}
 	if b.Cols == 1 {
 		gemv(alpha, a, b, dst)
 		return
@@ -191,7 +196,42 @@ func GEMM(alpha float64, a, b *Matrix, beta float64, dst *Matrix) {
 	gemmSerial(alpha, a, b, dst, 0, a.Rows)
 }
 
-// gemv accumulates alpha*a*x into the single-column dst: the solvers'
+// gemmNarrow accumulates alpha*a*b into dst for b narrower than one panel
+// on the FMA kernels, reading a and b in place: packing a would cost more
+// than the product. alpha = 1 and -1 fold into the kernel exactly; any
+// other alpha packs alpha*a first, as the wide path does, so every path
+// rounds alpha*a[i][k] the same way before its FMA.
+func gemmNarrow(alpha float64, a, b, dst *Matrix) {
+	if alpha != 1 && alpha != -1 { //lint:ignore floateq +-1 are the exact sentinels a sign flip reproduces bit for bit
+		pb := getPackBuf()
+		pb.a = ensureFloats(pb.a, packedALen(a, 0, a.Rows))
+		packA(alpha, a, 0, a.Rows, pb.a)
+		mulNarrowPacked(a.Rows, a.Cols, pb.a, b, dst)
+		putPackBuf(pb)
+		return
+	}
+	var sign uint64
+	if alpha < 0 {
+		sign = 1 << 63
+	}
+	m, k := a.Rows, a.Cols
+	for i := 0; i < m; i += avxPanelW {
+		fmaRowsAsm(k, &a.Data[i*a.Stride], a.Stride, sign, &b.Data[0], b.Stride, b.Cols,
+			&dst.Data[i*dst.Stride], dst.Stride, min(avxPanelW, m-i))
+	}
+}
+
+// mulNarrowPacked adds the product of the 8-row packed panels pA (rows x
+// k) and b, narrower than one panel and read in place, into dst.
+func mulNarrowPacked(rows, k int, pA []float64, b, dst *Matrix) {
+	panel := avxPanelW * k
+	for i, p := 0, 0; i < rows; i, p = i+avxPanelW, p+panel {
+		fmaPackedAsm(k, &pA[p], &b.Data[0], b.Stride, b.Cols,
+			&dst.Data[i*dst.Stride], dst.Stride, min(avxPanelW, rows-i))
+	}
+}
+
+// gemv accumulates alpha*a*x into the single-column dst: the portable
 // right-hand-side paths are dominated by this shape, where the tiled
 // kernel's slicing overhead would dwarf the two flops per element.
 func gemv(alpha float64, a, b, dst *Matrix) {
@@ -339,13 +379,12 @@ func packB(b *Matrix, pB []float64) {
 
 // gemmPacked runs the register-blocked kernels over the packed panels of a
 // (rows [r0, r1), packed in pA starting at r0's panel) and b (packed in
-// pB), accumulating into dst. Full panelW x panelW tiles run the AVX-512
-// assembly kernel when panelW is avxPanelW; edge tiles and the portable
-// configuration run the scalar 4x4 micro-kernel over panel quadrants. Each
-// tile folds its k-ascending partial sums in registers and adds the total
-// to dst once, so the reduction order depends only on the operand shapes —
-// never on the parallel split — and results are bit-for-bit reproducible
-// run to run.
+// pB), accumulating into dst. When panelW is avxPanelW, full tiles run
+// kernel8x8Asm and edge tiles fmaPackedAsm, with the same arithmetic; the
+// portable configuration runs the scalar 4x4 micro-kernel. Each tile folds its k-ascending partial sums in
+// registers and adds the total to dst once, so the reduction order depends
+// only on the operand shapes — never on the parallel split or the tile an
+// element lands in — and results are bit-for-bit reproducible run to run.
 func gemmPacked(kk int, pA, pB []float64, dst *Matrix, r0, r1 int) {
 	n := dst.Cols
 	w := panelW
@@ -361,13 +400,7 @@ func gemmPacked(kk int, pA, pB []float64, dst *Matrix, r0, r1 int) {
 					kernel8x8Asm(kk, &pa[0], &pb[0], &dst.Data[ip*dst.Stride+jp], dst.Stride)
 					continue
 				}
-				for io := 0; io < mr; io += microMR {
-					mq := min(microMR, mr-io)
-					for jo := 0; jo < nr; jo += microNR {
-						nq := min(microNR, nr-jo)
-						microKernel(kk, pa[io:], pb[jo:], w, dst, ip+io, jp+jo, mq, nq)
-					}
-				}
+				fmaPackedAsm(kk, &pa[0], &pb[0], w, nr, &dst.Data[ip*dst.Stride+jp], dst.Stride, mr)
 				continue
 			}
 			microKernel(kk, pa, pb, w, dst, ip, jp, mr, nr)
@@ -376,9 +409,8 @@ func gemmPacked(kk int, pA, pB []float64, dst *Matrix, r0, r1 int) {
 }
 
 // microKernel computes one mr x nr tile (mr <= microMR, nr <= microNR) of
-// dst += pa*pb, where pa and pb are k-major packed panels of width w
-// (offset by the caller to the tile's quadrant when w exceeds microMR).
-// The sixteen accumulators live in registers across the whole k loop.
+// dst += pa*pb, where pa and pb are k-major packed panels of width w. The
+// sixteen accumulators live in registers across the whole k loop.
 func microKernel(kk int, pa, pb []float64, w int, dst *Matrix, i0, j0, mr, nr int) {
 	var (
 		c00, c01, c02, c03 float64
@@ -487,8 +519,8 @@ type PackedA struct {
 	alpha      float64
 	data       []float64
 	// src is a heap copy of the source header, allocated once at pack time
-	// so the below-threshold GEMM fallback never forces the PackedA value
-	// itself to escape — MulAddPacked stays allocation-free per call.
+	// so the unpacked GEMM fallback never forces the PackedA value itself
+	// to escape — MulAddPacked stays allocation-free per call.
 	src *Matrix
 }
 
@@ -547,8 +579,9 @@ func NewPackedA(alpha float64, a *Matrix) PackedA {
 // pa. b is packed into bScratch (length at least PackBLen(b.Rows, b.Cols);
 // pass nil to draw from the internal pool) and the product runs on the
 // register-blocked kernels, splitting row bands across goroutines for
-// large shapes when parallelism is enabled. Shapes below the packed
-// threshold fall back to plain GEMM on the recorded source operand, so the
+// large shapes when parallelism is enabled; a b narrower than one panel is
+// read in place instead, with no packing and no scratch. Shapes PanelPacked
+// rejects fall back to plain GEMM on the recorded source operand, so the
 // result is bit-identical to GEMM(alpha, a, b, 1, dst) for every shape.
 // dst must be pa.Rows() x b.Cols and must not alias b.
 //
@@ -565,6 +598,14 @@ func MulAddPacked(dst *Matrix, pa PackedA, b *Matrix, bScratch []float64) {
 	}
 	if !panelOK(pa.rows, pa.k, b.Cols) {
 		GEMM(pa.alpha, pa.src, b, 1, dst)
+		return
+	}
+	if b.Cols < avxPanelW {
+		// Only the FMA kernels admit narrow panels (the portable rule needs
+		// n >= packMinDim).
+		if b.Cols > 0 {
+			mulNarrowPacked(pa.rows, pa.k, pa.data, b, dst)
+		}
 		return
 	}
 	need := PackBLen(b.Rows, b.Cols)

@@ -2,17 +2,53 @@ package mat
 
 import "os"
 
-// AVX-512 support for the packed GEMM path. When the CPU and OS expose the
-// full ZMM state, the packed kernel runs 8x8 register tiles (eight zmm
-// accumulators) written in assembly; otherwise the portable 4x4 scalar
-// micro-kernel carries the whole product. Detection happens once before
-// main, so the panel width — and with it the dispatch predicate and the
-// floating-point reduction order of every GEMM — is fixed for the life of
-// the process.
+// AVX-512 support for the dense kernels. When the CPU and OS expose the
+// full ZMM state, every product with k >= 8 and every LU substitution runs
+// on the FMA kernels below; otherwise the portable scalar loops carry the
+// whole package. Detection happens once before main, so the dispatch — and
+// with it the floating-point reduction order of every product — is fixed
+// for the life of the process.
+//
+// The kernels share one arithmetic: an output element is a single FMA
+// chain over k in ascending order, started from zero, added into dst once
+// (the substitution applies its row updates in a fixed order instead).
+// Lanes are independent, so a column's bits never depend on the width of
+// the panel it was solved in.
 
+// kernel8x8Asm adds one full 8x8 tile of packed panels into dst: the
+// arithmetic of fmaPackedAsm, with unmasked loads and stores.
+//
 //go:noescape
 func kernel8x8Asm(k int, pa, pb, dst *float64, stride int)
 
+// fmaPackedAsm adds panelA*B into the first mr rows and n columns of dst,
+// where panelA is one k-major 8-row packed panel and B's rows are ldb
+// elements apart (n, mr in [1, 8]).
+//
+//go:noescape
+func fmaPackedAsm(k int, pa, b *float64, ldb, n int, dst *float64, ldd, mr int)
+
+// fmaRowsAsm is fmaPackedAsm reading the first mr rows of a row-major A in
+// place (row stride lda); sign = 1<<63 negates A.
+//
+//go:noescape
+func fmaRowsAsm(k int, a *float64, lda int, sign uint64, b *float64, ldb, n int, dst *float64, ldd, mr int)
+
+// substitute1Asm, substitute2Asm and substitute4Asm run the forward and
+// back substitution of an n x n LU factorization (factors f, row stride
+// ldf) on one, two or four adjacent columns of b.
+//
+//go:noescape
+func substitute1Asm(n int, f *float64, ldf int, b *float64, ldb int)
+
+//go:noescape
+func substitute2Asm(n int, f *float64, ldf int, b *float64, ldb int)
+
+//go:noescape
+func substitute4Asm(n int, f *float64, ldf int, b *float64, ldb int)
+
+// axpyAsm computes y[0:n] += alpha*x[0:n] with one FMA per element.
+//
 //go:noescape
 func axpyAsm(alpha float64, x, y *float64, n int)
 

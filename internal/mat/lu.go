@@ -131,12 +131,28 @@ func (lu *LU) SolveInPlace(b *Matrix) {
 			}
 		}
 	}
-	// Wide right-hand-side panels (the shape the batched solvers
-	// substitute) take the vectorized row-update path; narrow panels keep
-	// the original inline scalar loops, which the compiler handles well
-	// and which avoid any per-row call overhead.
-	if vecAxpy && r >= 8 {
-		lu.substituteWide(b, r)
+	// The FMA path gives every column the same arithmetic at any width:
+	// forward rows fold k ascending, back rows fold k descending (the last
+	// update a row waits for is the row solved just before it), each
+	// update one FMA. Narrow panels run in strips of four, two and one
+	// columns, each row held in a register; wide ones update whole rows
+	// with axpyAsm.
+	if fmaKernels && n > 0 && r > 0 {
+		if r >= avxPanelW {
+			lu.substituteWide(b, r)
+			return
+		}
+		fd, j := &f.Data[0], 0
+		for ; j+4 <= r; j += 4 {
+			substitute4Asm(n, fd, f.Stride, &b.Data[j], b.Stride)
+		}
+		if j+2 <= r {
+			substitute2Asm(n, fd, f.Stride, &b.Data[j], b.Stride)
+			j += 2
+		}
+		if j < r {
+			substitute1Asm(n, fd, f.Stride, &b.Data[j], b.Stride)
+		}
 		return
 	}
 	// Forward substitution: L y = P b with unit diagonal.
@@ -173,17 +189,16 @@ func (lu *LU) SolveInPlace(b *Matrix) {
 	}
 }
 
-// substituteWide runs the forward/back substitution of SolveInPlace with
-// an 8-wide FMA head on every row update (scalar tail for r mod 8).
-// Only called when vecAxpy is set and r >= 8.
+// substituteWide is the FMA substitution of SolveInPlace for r >= 8
+// columns: every row update is one axpyAsm over the whole row, its r mod 8
+// tail included.
 //
 //perf:hotpath
 func (lu *LU) substituteWide(b *Matrix, r int) {
 	f := lu.factors
 	n := f.Rows
-	n8 := r &^ 7
 	// Forward substitution: L y = P b with unit diagonal.
-	//lint:ignore perfbce the surviving checks are the per-row panel extractions and the scalar tail; the 8-wide body runs in axpyAsm with no checks at all
+	//lint:ignore perfbce the surviving checks are the per-row panel extractions; the row updates run in axpyAsm with no checks at all
 	//perf:hotloop
 	for i := 1; i < n; i++ {
 		bi := b.Data[i*b.Stride : i*b.Stride+r]
@@ -193,25 +208,19 @@ func (lu *LU) substituteWide(b *Matrix, r int) {
 				continue
 			}
 			bk := b.Data[k*b.Stride : k*b.Stride+r]
-			axpyAsm(-m, &bk[0], &bi[0], n8)
-			for j := n8; j < r; j++ {
-				bi[j] -= m * bk[j]
-			}
+			axpyAsm(-m, &bk[0], &bi[0], r)
 		}
 	}
-	// Back substitution: U x = y.
+	// Back substitution: U x = y, folding rows k = n-1 down to i+1.
 	for i := n - 1; i >= 0; i-- {
 		bi := b.Data[i*b.Stride : i*b.Stride+r]
-		for k := i + 1; k < n; k++ {
+		for k := n - 1; k > i; k-- {
 			u := f.Data[i*f.Stride+k]
 			if u == 0 {
 				continue
 			}
 			bk := b.Data[k*b.Stride : k*b.Stride+r]
-			axpyAsm(-u, &bk[0], &bi[0], n8)
-			for j := n8; j < r; j++ {
-				bi[j] -= u * bk[j]
-			}
+			axpyAsm(-u, &bk[0], &bi[0], r)
 		}
 		d := f.Data[i*f.Stride+i]
 		for j := range bi {

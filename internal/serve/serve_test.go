@@ -126,8 +126,18 @@ func TestConcurrentSameMatrixSingleFactor(t *testing.T) {
 }
 
 // TestCoalescing: jobs for the same matrix queued behind a busy worker are
-// solved as one multi-RHS panel.
+// solved as one multi-RHS panel. The M=2 case stays below the FMA kernels'
+// reach (k >= 8); at M=16 every product of the solve runs on them, and a
+// coalesced job's answer must be bit for bit the answer of the same right-
+// hand side submitted alone.
 func TestCoalescing(t *testing.T) {
+	t.Run("M=2", func(t *testing.T) { testCoalescing(t, testMatrix(9, 16, 2), 2) })
+	t.Run("M=16", func(t *testing.T) {
+		testCoalescing(t, blocktri.Oscillatory(16, 16, rand.New(rand.NewSource(9))), 2)
+	})
+}
+
+func testCoalescing(t *testing.T, a *blocktri.Matrix, cols int) {
 	srv := New(Config{P: 2, MaxPanel: 64})
 	defer srv.Close()
 	gate := make(chan struct{})
@@ -139,14 +149,13 @@ func TestCoalescing(t *testing.T) {
 			<-gate
 		})
 	}
-	a := testMatrix(9, 16, 2)
 	const jobs = 6
 	var wg sync.WaitGroup
 	results := make([]*Result, jobs)
 	errs := make([]error, jobs)
 	bs := make([]*mat.Matrix, jobs)
 	for i := 0; i < jobs; i++ {
-		bs[i] = testRHS(a, int64(200+i), 2)
+		bs[i] = testRHS(a, int64(200+i), cols)
 	}
 	submit := func(i int) {
 		defer wg.Done()
@@ -179,6 +188,24 @@ func TestCoalescing(t *testing.T) {
 	}
 	if st := srv.Stats(); st.CoalescedJobs < 1 || st.Factorizations != 1 {
 		t.Fatalf("stats %+v: want coalesced jobs and a single factorization", st)
+	}
+	if !mat.FMAKernels() || a.M < 8 {
+		return
+	}
+	for i, r := range results {
+		if r.Coalesced < 2 {
+			continue
+		}
+		alone, err := srv.Submit(context.Background(), Job{Tenant: "t", Matrix: a, B: bs[i]})
+		if err != nil {
+			t.Fatalf("job %d resubmitted alone: %v", i, err)
+		}
+		if alone.Coalesced != 1 {
+			t.Fatalf("job %d resubmitted alone rode a panel of %d jobs", i, alone.Coalesced)
+		}
+		if !r.X.Equal(alone.X) {
+			t.Errorf("job %d: coalesced answer differs bitwise from the answer solved alone", i)
+		}
 	}
 }
 

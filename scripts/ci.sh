@@ -19,6 +19,10 @@ go run ./cmd/blocktri-lint -analyzers perfescape,perfbce,perfinline,asmcheck \
 	-format text,sarif -sarif-out reports/lint-perf.sarif ./...
 go test ./...
 go test -race ./...
+# The portable kernels are the only ones on hosts without AVX-512, and the
+# FMA kernels diverge from them in arithmetic: run the dense substrate and
+# its solver and service layers on the portable path too.
+BLOCKTRI_NOAVX512=1 go test ./internal/mat ./internal/core ./internal/serve
 # Chaos smoke: a fixed-seed fault-injection campaign over every solver.
 # The invariant (docs/RESILIENCE.md): each trial ends in a correct solution
 # or a clean typed error — never a hang, never a silent wrong answer.
@@ -30,9 +34,10 @@ go run ./cmd/blocktri-chaos -seed 1 -plans 32
 go run -race ./cmd/blocktri-chaos -service -seed 1 -tenants 5 -requests 120
 # Perf gate: re-measure the hot paths and fail on >15% ns/op regression or
 # any allocs/op increase against the committed BENCH_*.json baselines —
-# the batched ARD solve (ARDSolve/R={1,64,256}), the GEMM kernel tiers
-# including the skinny panel shapes the panelized solve issues, the lint
-# suite, and the serve warm-factor path (wider, budget-backed gates; see
+# the ARD solve (ARDSolve/R={1,4,64,256}: single, narrow and batched), the
+# GEMM kernel tiers including the skinny panel shapes the panelized solve
+# issues and the narrow tier (GEMM/m=16,k=32,n={1,4}), the lint suite, and
+# the serve warm-factor path (wider, budget-backed gates; see
 # perf_serve.go). After an intentional perf change, refresh the baselines
 # with `make bench-baseline`.
 go run ./cmd/blocktri-bench -perf compare
