@@ -76,8 +76,10 @@ func bestOf3(f func(b *testing.B)) testing.BenchmarkResult {
 
 // measureARDSolve benchmarks the factored ARD solve at the paper's headline
 // configuration (N=512, M=16, P=8) for single, narrow (R=4, below one
-// 8-column panel) and batched right-hand sides. GFLOP/s uses the solver's
-// analytic flop count.
+// 8-column panel) and batched right-hand sides, and the factor phase itself
+// at that configuration and at the service's fresh-matrix shape (N=128,
+// M=8, P=2). GFLOP/s uses the solver's analytic (nominal dense) flop
+// count.
 func measureARDSolve() ([]perfEntry, error) {
 	a := workload.Build(workload.Oscillatory, 512, 16, 1)
 	ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
@@ -105,6 +107,32 @@ func measureARDSolve() ([]perfEntry, error) {
 			NsPerOp:     float64(res.NsPerOp()),
 			AllocsPerOp: res.AllocsPerOp(),
 			GFlops:      flops / float64(res.NsPerOp()),
+		})
+	}
+	for _, c := range []struct{ n, m, p int }{{512, 16, 8}, {128, 8, 2}} {
+		fa := workload.Build(workload.Oscillatory, c.n, c.m, 1)
+		world := blocktri.NewWorld(c.p)
+		var flops int64
+		var failed error
+		res := bestOf3(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := blocktri.NewARD(fa, blocktri.Config{World: world})
+				if err := s.Factor(); err != nil {
+					failed = err
+					b.FailNow()
+				}
+				flops = s.FactorStats().Flops
+			}
+		})
+		if failed != nil {
+			return nil, fmt.Errorf("ARD factor N=%d M=%d P=%d: %v", c.n, c.m, c.p, failed)
+		}
+		entries = append(entries, perfEntry{
+			Name:        fmt.Sprintf("ARDFactor/N=%d,M=%d,P=%d", c.n, c.m, c.p),
+			NsPerOp:     float64(res.NsPerOp()),
+			AllocsPerOp: res.AllocsPerOp(),
+			GFlops:      float64(flops) / float64(res.NsPerOp()),
 		})
 	}
 	return entries, nil

@@ -16,55 +16,39 @@ const magic = 0x42544431
 // WriteTo serializes a in a compact little-endian binary format:
 // magic, N, M as uint64, then the blocks band by band (lower, diag, upper)
 // in block-row order, skipping the nil corner blocks. It returns the number
-// of bytes written.
+// of bytes written. Each block row is encoded into one reused buffer and
+// written in a single call, so serializing (and content-hashing) a matrix
+// costs a handful of allocations, not one per value.
 func (a *Matrix) WriteTo(w io.Writer) (int64, error) {
 	if err := a.Validate(); err != nil {
 		return 0, err
 	}
 	bw := bufio.NewWriter(w)
-	var n int64
-	writeU64 := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		k, err := bw.Write(buf[:])
-		n += int64(k)
-		return err
-	}
-	if err := writeU64(magic); err != nil {
-		return n, err
-	}
-	if err := writeU64(uint64(a.N)); err != nil {
-		return n, err
-	}
-	if err := writeU64(uint64(a.M)); err != nil {
-		return n, err
-	}
-	writeBlock := func(b *mat.Matrix) error {
-		for i := 0; i < b.Rows; i++ {
-			for j := 0; j < b.Cols; j++ {
-				if err := writeU64(math.Float64bits(b.At(i, j))); err != nil {
-					return err
+	buf := make([]byte, 0, 8*3*a.M*a.M) // one block row; M >= 1 fits the header too
+	buf = binary.LittleEndian.AppendUint64(buf, magic)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.N))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.M))
+	n, err := bw.Write(buf)
+	total := int64(n)
+	for i := 0; i < a.N && err == nil; i++ {
+		buf = buf[:0]
+		for _, b := range [3]*mat.Matrix{a.Lower[i], a.Diag[i], a.Upper[i]} {
+			if b == nil { // the corner blocks Lower[0] and Upper[N-1]
+				continue
+			}
+			for r := 0; r < b.Rows; r++ {
+				for _, v := range b.Data[r*b.Stride : r*b.Stride+b.Cols] {
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 				}
 			}
 		}
-		return nil
+		n, err = bw.Write(buf)
+		total += int64(n)
 	}
-	for i := 0; i < a.N; i++ {
-		if i > 0 {
-			if err := writeBlock(a.Lower[i]); err != nil {
-				return n, err
-			}
-		}
-		if err := writeBlock(a.Diag[i]); err != nil {
-			return n, err
-		}
-		if i < a.N-1 {
-			if err := writeBlock(a.Upper[i]); err != nil {
-				return n, err
-			}
-		}
+	if err != nil {
+		return total, err
 	}
-	return n, bw.Flush()
+	return total, bw.Flush()
 }
 
 // Read deserializes a matrix previously written with WriteTo.

@@ -14,12 +14,14 @@ import (
 // contribution. It splits the computation that classic RD repeats on every
 // solve into:
 //
-//   - Factor, once per matrix: build the 2M x 2M transfer matrices, run
-//     the local and cross-rank scans on their matrix halves, and store
-//     every intermediate the right-hand-side path will need — the per-rank
-//     local total S, the per-round Kogge-Stone partial products, the final
-//     exclusive prefix S, the LU factors of each super-diagonal block, and
-//     the factored M x M reduced system. Cost O(M^3 (N/P + log P)).
+//   - Factor, once per matrix: build each transfer matrix's M x 2M top
+//     half (its [I 0] bottom is structure, never stored), run the local
+//     scan through the structured compose and the cross-rank scan on the
+//     matrix halves, and store every intermediate the right-hand-side path
+//     will need — the per-rank local total S, the per-round Kogge-Stone
+//     partial products, the final exclusive prefix S, the LU factors of
+//     each super-diagonal block, and the factored M x M reduced system.
+//     Cost O(M^3 (N/P + log P)).
 //
 //   - Solve, per right-hand side (batch): only the vector halves move:
 //     building F costs O(M^2 R) per block row, every scan combine is a
@@ -76,7 +78,7 @@ type ardRound struct {
 // ardRankState is everything one rank stores between Factor and Solve.
 type ardRankState struct {
 	lo, hi, first int
-	elems         []element   // T matrices + U factorizations
+	elems         []element   // T top halves + U factorizations
 	localTotalS   *mat.Matrix // S of the local reduce (nil if no elements)
 	rounds        []ardRound
 	piS           *mat.Matrix // final exclusive cross-rank prefix S (nil = identity)
@@ -167,12 +169,12 @@ func (s *ARD) Factor() error {
 	return nil
 }
 
-// buildPacks assembles the packed images of every stored factor matrix the
-// solve phase multiplies: each element's [TL TR] top half, the local scan
-// totals, the per-round Kogge-Stone snapshots, the exclusive prefix's left
-// half, and the negated last block row. Packing here — once per matrix,
-// after Factor or LoadFactor — leaves the per-solve cost at packing the
-// right-hand-side panel alone.
+// buildPacks assembles the packed images of the stored scan matrices the
+// solve phase multiplies: the local scan totals, the per-round Kogge-Stone
+// snapshots, the exclusive prefix's left half, and the negated last block
+// row (the element packs are built with the elements). Packing here — once
+// per matrix, after Factor or LoadFactor — leaves the per-solve cost at
+// packing the right-hand-side panel alone.
 func (s *ARD) buildPacks() {
 	a := s.a
 	m := a.M
@@ -180,21 +182,24 @@ func (s *ARD) buildPacks() {
 		if st == nil {
 			continue
 		}
-		for k := range st.elems {
-			e := &st.elems[k]
-			e.tPack = mat.NewPackedA(1, e.t.View(0, 0, m, 2*m))
+		// The snapshots repeat the local total and earlier entries by
+		// pointer; each distinct matrix gets one pack.
+		packs := make(map[*mat.Matrix]mat.PackedA)
+		pack := func(x *mat.Matrix) mat.PackedA {
+			if x == nil {
+				return mat.PackedA{}
+			}
+			p, ok := packs[x]
+			if !ok {
+				p = mat.NewPackedA(1, x)
+				packs[x] = p
+			}
+			return p
 		}
-		if st.localTotalS != nil {
-			st.localTotalSPack = mat.NewPackedA(1, st.localTotalS)
-		}
+		st.localTotalSPack = pack(st.localTotalS)
 		for k := range st.rounds {
 			rd := &st.rounds[k]
-			if rd.preS != nil {
-				rd.preSPack = mat.NewPackedA(1, rd.preS)
-			}
-			if rd.accS != nil {
-				rd.accSPack = mat.NewPackedA(1, rd.accS)
-			}
+			rd.preSPack, rd.accSPack = pack(rd.preS), pack(rd.accS)
 		}
 		if st.piS != nil {
 			st.piSLeftPack = mat.NewPackedA(1, st.piS.View(0, 0, 2*m, m))
@@ -207,28 +212,34 @@ func (s *ARD) buildPacks() {
 	}
 }
 
-// storedBytes totals the factor-phase state retained across solves: the
-// per-element transfer matrices and U factorizations, the local scan
-// totals, the per-round Kogge-Stone snapshots, the exclusive prefixes,
-// and the reduced-system factorization.
+// storedBytes totals the factor-phase state retained across solves: each
+// element's share of its rank's stores (T's top half, its pack, and U's LU
+// factors and pivots), every distinct stored scan matrix with its pack,
+// the exclusive prefix's left-half pack, the negated last-row packs, and
+// the reduced-system factorization. The Kogge-Stone snapshots share
+// matrices and packs by pointer, so each is counted once.
 func (s *ARD) storedBytes() int64 {
-	var total int64
-	m := int64(s.a.M)
+	m := s.a.M
+	total := luBytes(m) + packBytes(s.negDiagPack) + packBytes(s.negLowerPack)
 	for _, st := range s.rk {
 		if st == nil {
 			continue
 		}
-		for _, e := range st.elems {
-			total += matBytes(e.t)
-			total += 8*m*m + 8*m // LU factors + pivots of U
+		total += int64(len(st.elems)) * (8*int64(2*m*m+mat.PackALen(m, 2*m)) + luBytes(m))
+		seen := make(map[*mat.Matrix]bool)
+		add := func(x *mat.Matrix, p mat.PackedA) {
+			if x != nil && !seen[x] {
+				seen[x] = true
+				total += matBytes(x) + packBytes(p)
+			}
 		}
-		total += matBytes(st.localTotalS) + matBytes(st.piS)
+		add(st.localTotalS, st.localTotalSPack)
 		for _, rd := range st.rounds {
-			total += matBytes(rd.preS) + matBytes(rd.accS)
+			add(rd.preS, rd.preSPack)
+			add(rd.accS, rd.accSPack)
 		}
-	}
-	if s.luRm != nil {
-		total += 8*m*m + 8*m
+		add(st.piS, mat.PackedA{}) // its full pack, if any, came with a snapshot
+		total += packBytes(st.piSLeftPack)
 	}
 	return total
 }
@@ -238,18 +249,31 @@ func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
 	r, p := c.Rank(), c.Size()
 	m := a.M
 	lo, hi := PartRange(a.N, p, r)
-	first := lo
-	if first < 1 {
-		first = 1
-	}
+	first := max(lo, 1)
 	st := &ardRankState{lo: lo, hi: hi, first: first, ws: mat.NewWorkspace()}
 	s.rk[r] = st
 	var fc flopCounter
 
-	// Local elements and the matrix-only local scan total.
+	// Local elements and the matrix-only local scan total. The elements'
+	// U factors, T top halves and packs are carved from three stores, one
+	// per kind, each sized once from the element count: a solve streams
+	// the U factors and the packs, and a store per kind keeps each stream
+	// contiguous. The running total alternates between two scratch
+	// matrices of the rank's solve arena (the solve's first Reset recycles
+	// them) and is cloned out at the end.
+	ne := max(hi-first, 0)
+	lus, tops, packs := mat.NewWorkspace(), mat.NewWorkspace(), mat.NewWorkspace()
+	lus.Reserve(ne*m*m, ne*m)
+	tops.Reserve(ne*2*m*m, 0)
+	packs.Reserve(ne*mat.PackALen(m, 2*m), 0)
+	st.elems = make([]element, 0, ne)
+	ws := st.ws
+	sbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, 2*m), ws.GetNoClear(2*m, 2*m)}
+	bs := ws.Floats(mat.PackBLen(2*m, 2*m))
+	var total *mat.Matrix
 	var buildErr error
 	for i := first; i < hi; i++ {
-		e, err := buildElement(a, i)
+		e, err := buildElement(lus, tops.GetNoClear(m, 2*m), a, i)
 		if err != nil {
 			buildErr = err
 			break
@@ -258,11 +282,17 @@ func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
 		if a.Lower[i-1] != nil {
 			fc.add(luSolveFlops(m, m))
 		}
+		e.tPack = mat.PackAInto(packs.Floats(mat.PackALen(m, 2*m)), 1, e.top)
 		st.elems = append(st.elems, e)
-		if st.localTotalS != nil {
+		if total != nil {
 			fc.add(gemmFlops(2*m, 2*m, 2*m))
 		}
-		st.localTotalS = composeS(st.localTotalS, e.t)
+		dst := sbuf[len(st.elems)&1]
+		composeT(ws, dst, e.top, e.tPack, total, bs)
+		total = dst
+	}
+	if total != nil {
+		st.localTotalS = total.Clone()
 	}
 	st.fs = make([]*mat.Matrix, len(st.elems))
 	if buildErr != nil {
@@ -323,7 +353,7 @@ func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
 			fc.add(gemmFlops(2*m, 2*m, 2*m))
 		}
 		s.growth = mat.NormFrob(totalS)
-		rm := reducedMatrix(a, totalS)
+		rm := reducedMatrixWS(ws, a, totalS)
 		fc.add(2 * gemmFlops(m, m, m))
 		lu, err := mat.Factor(rm)
 		if err != nil {
@@ -334,9 +364,7 @@ func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
 			s.luRm = lu
 		}
 	}
-	if !agreeOK(c, factorOK) {
-		return fc.n
-	}
+	agreeOK(c, factorOK) // every rank joins the barrier; a failure travels in es
 	return fc.n
 }
 
@@ -442,7 +470,7 @@ func (s *ARD) solveRank(c *comm.Comm, b, x *mat.Matrix) int64 {
 		fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
 		dst := hbuf[hcur]
 		hcur ^= 1
-		applyT(ws, e.t, e.tPack, localTotalH, fs[k], dst, m, bs)
+		applyT(ws, e.top, e.tPack, localTotalH, fs[k], dst, m, bs)
 		localTotalH = dst
 	}
 
@@ -539,7 +567,7 @@ func (s *ARD) solveFinish(c *comm.Comm, b, x *mat.Matrix, st *ardRankState,
 	for k, e := range st.elems {
 		dst := ybuf[ycur]
 		ycur ^= 1
-		applyT(ws, e.t, e.tPack, y, st.fs[k], dst, m, bs)
+		applyT(ws, e.top, e.tPack, y, st.fs[k], dst, m, bs)
 		y = dst
 		fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
 		wsBlockOf(ws, x, m, e.idx).CopyFrom(ws.View(y, 0, 0, m, rhs))

@@ -20,7 +20,11 @@ import (
 // factor state; loading requires a world of the same size P the state was
 // produced with, and a matrix with the same (N, M) — the right-hand-side
 // path re-reads the matrix's last block row, so the caller must supply
-// the same matrix the factorization was computed for.
+// the same matrix the factorization was computed for. Every element's
+// transfer matrix is written whole, [TL TR; I 0] as one 2M x 2M section,
+// although the solver keeps only its top half. A factor file is untrusted
+// input: LoadFactor checks every section's shape and every rank's layout
+// against (N, M, P) and the schedule before it builds anything.
 
 // ardMagic identifies the on-disk ARD factor format ("ARF1").
 const ardMagic = 0x41524631
@@ -32,11 +36,9 @@ func (s *ARD) SaveFactor(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	enc := newEncoder(w)
-	enc.u64(ardMagic)
-	enc.u64(uint64(s.a.N))
-	enc.u64(uint64(s.a.M))
-	enc.u64(uint64(s.world.P))
-	enc.u64(uint64(s.sched))
+	for _, v := range []uint64{ardMagic, uint64(s.a.N), uint64(s.a.M), uint64(s.world.P), uint64(s.sched)} {
+		enc.u64(v)
+	}
 	enc.f64(s.growth)
 	enc.matrixOpt(nil) // reserved slot (layout versioning headroom)
 	if s.luRm != nil {
@@ -47,14 +49,17 @@ func (s *ARD) SaveFactor(w io.Writer) (int64, error) {
 	if s.a.N == 1 {
 		return enc.finish()
 	}
+	m := s.a.M
+	ws, t := mat.NewWorkspace(), mat.New(2*m, 2*m)
 	for _, st := range s.rk {
-		enc.u64(uint64(st.lo))
-		enc.u64(uint64(st.hi))
-		enc.u64(uint64(st.first))
-		enc.u64(uint64(len(st.elems)))
+		for _, v := range []int{st.lo, st.hi, st.first, len(st.elems)} {
+			enc.u64(uint64(v))
+		}
 		for _, e := range st.elems {
+			ws.Reset()
+			composeT(ws, t, e.top, mat.PackedA{}, nil, nil)
 			enc.u64(uint64(e.idx))
-			enc.matrix(e.t)
+			enc.matrix(t)
 			enc.floats(e.luU.Encode())
 		}
 		enc.matrixOpt(st.localTotalS)
@@ -75,133 +80,113 @@ func (s *ARD) SaveFactor(w io.Writer) (int64, error) {
 func LoadFactor(a *blocktri.Matrix, cfg Config, r io.Reader) (*ARD, error) {
 	s := NewARD(a, cfg)
 	dec := newDecoder(r)
-	if magic, err := dec.u64(); err != nil {
-		return nil, fmt.Errorf("core: reading factor header: %w", err)
-	} else if magic != ardMagic {
+	magic, n, m, p := dec.u64(), dec.u64(), dec.u64(), dec.u64()
+	switch {
+	case dec.err != nil:
+		return nil, fmt.Errorf("core: reading factor header: %w", dec.err)
+	case magic != ardMagic:
 		return nil, fmt.Errorf("core: bad factor magic %#x", magic)
-	}
-	n, err := dec.u64()
-	if err != nil {
-		return nil, err
-	}
-	m, err := dec.u64()
-	if err != nil {
-		return nil, err
-	}
-	p, err := dec.u64()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) != a.N || int(m) != a.M {
+	case int(n) != a.N || int(m) != a.M:
 		return nil, fmt.Errorf("core: saved factor is for N=%d M=%d, matrix is N=%d M=%d", n, m, a.N, a.M)
-	}
-	if int(p) != s.world.P {
+	case int(p) != s.world.P:
 		return nil, fmt.Errorf("core: saved factor used P=%d, world has P=%d", p, s.world.P)
 	}
+	// No legitimate section is longer than a 2M x 2M transfer matrix.
+	dec.maxSection = 2 + 4*a.M*a.M
 	// The solve phase must replay the schedule the factor state was
 	// produced with, regardless of cfg.Schedule.
-	schedWord, err := dec.u64()
-	if err != nil {
-		return nil, err
-	}
-	switch prefix.Schedule(schedWord) {
+	switch sched := prefix.Schedule(dec.u64()); sched {
 	case prefix.KoggeStone, prefix.Chain:
-		s.sched = prefix.Schedule(schedWord)
+		s.sched = sched
 	default:
-		return nil, fmt.Errorf("core: saved factor has unknown schedule %d", schedWord)
+		dec.fail("core: saved factor has unknown schedule %d", sched)
 	}
-	if s.growth, err = dec.f64(); err != nil {
-		return nil, err
+	s.growth = dec.f64()
+	dec.floats() // reserved slot
+	s.luRm = dec.lu(a.M)
+	for rank := 0; a.N > 1 && rank < s.world.P && dec.err == nil; rank++ {
+		s.rk = append(s.rk, loadRank(dec, a, s.sched, s.world.P, rank))
 	}
-	if _, err := dec.matrixOpt(); err != nil { // reserved slot
-		return nil, err
+	if dec.err != nil {
+		return nil, dec.err
 	}
-	luPayload, err := dec.floats()
-	if err != nil {
-		return nil, err
-	}
-	if len(luPayload) > 0 {
-		lu, err := safeDecodeLU(luPayload)
-		if err != nil {
-			return nil, err
-		}
-		s.luRm = lu
-	}
-	if a.N == 1 {
-		s.factored = true
-		return s, nil
-	}
-	s.rk = make([]*ardRankState, s.world.P)
-	for rank := 0; rank < s.world.P; rank++ {
-		st := &ardRankState{}
-		if st.lo, err = dec.intVal(); err != nil {
-			return nil, err
-		}
-		if st.hi, err = dec.intVal(); err != nil {
-			return nil, err
-		}
-		if st.first, err = dec.intVal(); err != nil {
-			return nil, err
-		}
-		ne, err := dec.intVal()
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < ne; k++ {
-			var e element
-			if e.idx, err = dec.intVal(); err != nil {
-				return nil, err
-			}
-			if e.t, err = dec.matrix(); err != nil {
-				return nil, err
-			}
-			luPayload, err := dec.floats()
-			if err != nil {
-				return nil, err
-			}
-			if e.luU, err = safeDecodeLU(luPayload); err != nil {
-				return nil, err
-			}
-			st.elems = append(st.elems, e)
-		}
-		if st.localTotalS, err = dec.matrixOpt(); err != nil {
-			return nil, err
-		}
-		nr, err := dec.intVal()
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < nr; k++ {
-			var rd ardRound
-			if rd.dist, err = dec.intVal(); err != nil {
-				return nil, err
-			}
-			if rd.preS, err = dec.matrixOpt(); err != nil {
-				return nil, err
-			}
-			if rd.accS, err = dec.matrixOpt(); err != nil {
-				return nil, err
-			}
-			st.rounds = append(st.rounds, rd)
-		}
-		if st.piS, err = dec.matrixOpt(); err != nil {
-			return nil, err
-		}
-		s.rk[rank] = st
-	}
-	// The wire format predates the panel packs; rebuild them from the
-	// decoded matrices exactly as Factor does, so a restored solver's solve
-	// phase runs the same packed products (and produces the same bits) as a
-	// freshly factored one.
-	s.buildPacks()
 	s.factored = true
-	s.factorStats = SolveStats{PrefixGrowth: s.growth, StoredBytes: s.storedBytes()}
+	if a.N > 1 {
+		// Packs are rebuilt exactly as Factor builds them, so a restored
+		// solver runs the same packed products and gives the same bits.
+		s.buildPacks()
+		s.factorStats = SolveStats{PrefixGrowth: s.growth, StoredBytes: s.storedBytes()}
+	}
 	return s, nil
+}
+
+// loadRank decodes one rank's factor state and checks it against the
+// layout Factor produces for (N, M, P) and the schedule: the block range,
+// the element count and indices, every section's shape, the Kogge-Stone
+// round distances, and which scan matrices are the identity. Each element
+// keeps its transfer matrix's top half and gets the pack Factor builds.
+func loadRank(dec *decoder, a *blocktri.Matrix, sched prefix.Schedule, p, rank int) *ardRankState {
+	m := a.M
+	lo, hi := PartRange(a.N, p, rank)
+	first, ne := max(lo, 1), max(hi-max(lo, 1), 0)
+	st := &ardRankState{lo: dec.intVal(), hi: dec.intVal(), first: dec.intVal()}
+	if got := dec.intVal(); st.lo != lo || st.hi != hi || st.first != first || got != ne {
+		dec.fail("core: layout lo=%d hi=%d first=%d with %d elements, want lo=%d hi=%d first=%d with %d",
+			st.lo, st.hi, st.first, got, lo, hi, first, ne)
+	}
+	for k := 0; k < ne && dec.err == nil; k++ {
+		e := element{idx: dec.intVal()}
+		if e.idx != first+k {
+			dec.fail("core: element %d has index %d", first+k, e.idx)
+		}
+		if t := dec.sMatrix(m, true); t != nil {
+			e.top = t.View(0, 0, m, 2*m).Clone()
+			e.tPack = mat.NewPackedA(1, e.top)
+		}
+		e.luU = dec.lu(m)
+		st.elems = append(st.elems, e)
+	}
+	st.localTotalS = dec.sMatrix(m, ne > 0)
+	// Replay Factor's scan on presence flags alone: which snapshots hold a
+	// matrix and which the identity depends only on which ranks own
+	// elements, and the solve phase's combines rely on exactly that. An
+	// aggregate stays the identity until its rank owns elements or
+	// receives a matrix; a prefix until it receives one.
+	acc, pre := make([]bool, p), make([]bool, p)
+	for q := range acc {
+		l, h := PartRange(a.N, p, q)
+		acc[q] = h > max(l, 1)
+	}
+	var want [][2]bool
+	for q := 1; sched == prefix.Chain && q < p; q++ {
+		pre[q] = pre[q-1] || acc[q-1]
+	}
+	for dist := 1; sched == prefix.KoggeStone && dist < p; dist <<= 1 {
+		want = append(want, [2]bool{pre[rank], acc[rank]})
+		for q := p - 1; q >= dist; q-- {
+			pre[q], acc[q] = pre[q] || acc[q-dist], acc[q] || acc[q-dist]
+		}
+	}
+	if nr := dec.intVal(); nr != len(want) {
+		dec.fail("core: %d scan rounds, want %d", nr, len(want))
+	}
+	for k, w := range want {
+		if dist := dec.intVal(); dist != 1<<k {
+			dec.fail("core: scan round distance %d, want %d", dist, 1<<k)
+		}
+		st.rounds = append(st.rounds, ardRound{dist: 1 << k, preS: dec.sMatrix(m, w[0]), accS: dec.sMatrix(m, w[1])})
+	}
+	st.piS = dec.sMatrix(m, pre[rank])
+	if dec.err != nil {
+		dec.err = fmt.Errorf("core: factor rank %d: %w", rank, dec.err)
+	}
+	return st
 }
 
 // encoder writes length-prefixed float64 sections in little-endian form.
 type encoder struct {
 	bw  *bufio.Writer
+	buf [8]byte
 	n   int64
 	err error
 }
@@ -212,9 +197,8 @@ func (e *encoder) u64(v uint64) {
 	if e.err != nil {
 		return
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	k, err := e.bw.Write(buf[:])
+	binary.LittleEndian.PutUint64(e.buf[:], v)
+	k, err := e.bw.Write(e.buf[:])
 	e.n += int64(k)
 	e.err = err
 }
@@ -245,119 +229,107 @@ func (e *encoder) finish() (int64, error) {
 	return e.n, e.bw.Flush()
 }
 
-type decoder struct{ br *bufio.Reader }
-
-func newDecoder(r io.Reader) *decoder { return &decoder{br: bufio.NewReader(r)} }
-
-func (d *decoder) u64() (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(d.br, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+// decoder reads the sections back. Its first error sticks: every later
+// read returns zero values, so callers check err once per stage rather
+// than after every read. maxSection caps a section's length in words.
+type decoder struct {
+	br         *bufio.Reader
+	buf        [8]byte
+	maxSection int
+	err        error
 }
 
-func (d *decoder) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
+func newDecoder(r io.Reader) *decoder {
+	// Until LoadFactor knows M, sections are capped at 128 MiB of float64
+	// words, so a flipped length byte cannot drive a huge allocation.
+	return &decoder{br: bufio.NewReader(r), maxSection: 1 << 24}
 }
 
-func (d *decoder) intVal() (int, error) {
-	v, err := d.u64()
-	if err != nil {
-		return 0, err
+// fail records a decoding error unless an earlier one already stuck.
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
 	}
+}
+
+func (d *decoder) u64() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	if _, d.err = io.ReadFull(d.br, d.buf[:]); d.err != nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(d.buf[:])
+}
+
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+func (d *decoder) intVal() int {
 	const maxPlausible = 1 << 40
+	v := d.u64()
 	if v > maxPlausible {
-		return 0, fmt.Errorf("core: implausible integer %d in factor file", v)
+		d.fail("core: implausible integer %d in factor file", v)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (d *decoder) floats() ([]float64, error) {
-	n, err := d.intVal()
-	if err != nil {
-		return nil, err
+func (d *decoder) floats() []float64 {
+	n := d.intVal()
+	if n > d.maxSection {
+		d.fail("core: implausible section length %d", n)
 	}
-	// Sections hold at most a 2M x 2M matrix per item; far below this cap
-	// (128 MiB of float64 words). Anything larger is corruption, and
-	// capping it keeps a flipped length byte from driving a huge
-	// allocation.
-	const maxSection = 1 << 24
-	if n > maxSection {
-		return nil, fmt.Errorf("core: implausible section length %d", n)
+	if d.err != nil {
+		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		if out[i], err = d.f64(); err != nil {
-			return nil, err
-		}
+		out[i] = d.f64()
 	}
-	return out, nil
+	return out
 }
 
-func (d *decoder) matrix() (*mat.Matrix, error) {
-	fs, err := d.floats()
-	if err != nil {
-		return nil, err
+// sMatrix reads a scan-matrix section (a transfer matrix, a local total,
+// a round snapshot or a prefix) that the layout says holds a 2M x 2M
+// matrix (present) or the identity, written empty and read as nil.
+func (d *decoder) sMatrix(m int, present bool) *mat.Matrix {
+	fs := d.floats()
+	switch {
+	case d.err != nil || (!present && len(fs) == 0):
+		return nil
+	case !present:
+		d.fail("core: %d-word section where the layout has the identity", len(fs))
+		return nil
+	case len(fs) != 2+4*m*m:
+		d.fail("core: section of %d words, want a %dx%d matrix", len(fs), 2*m, 2*m)
+		return nil
+	//lint:ignore floateq the header words of a genuine section are exact small integers
+	case fs[0] != float64(2*m) || fs[1] != float64(2*m):
+		d.fail("core: section is %vx%v, want %dx%d", fs[0], fs[1], 2*m, 2*m)
+		return nil
 	}
-	return safeDecodeMatrix(fs)
+	return mat.NewFromSlice(2*m, 2*m, fs[2:])
 }
 
-func (d *decoder) matrixOpt() (*mat.Matrix, error) {
-	fs, err := d.floats()
-	if err != nil {
-		return nil, err
+// lu reads an LU section that must factor an m x m matrix. The pivots are
+// checked first: mat.DecodeLU trusts them.
+func (d *decoder) lu(m int) *mat.LU {
+	fs := d.floats()
+	switch {
+	case d.err != nil:
+		return nil
+	//lint:ignore floateq the order word of a genuine section is an exact small integer
+	case len(fs) != mat.EncodedLULen(m) || fs[0] != float64(m):
+		d.fail("core: LU section of %d words, want one of order %d", len(fs), m)
+		return nil
 	}
-	if len(fs) == 0 {
-		return nil, nil
-	}
-	return safeDecodeMatrix(fs)
-}
-
-// safeDecodeLU validates an untrusted LU payload the same way.
-func safeDecodeLU(fs []float64) (*mat.LU, error) {
-	if len(fs) < 2 {
-		return nil, fmt.Errorf("core: malformed LU section (len %d)", len(fs))
-	}
-	n := fs[0]
-	const maxDim = 1 << 20
-	//lint:ignore floateq integrality check on an untrusted header; Trunc equality is the exact property validated.
-	if n != math.Trunc(n) || n < 0 || n > maxDim {
-		return nil, fmt.Errorf("core: implausible LU dimension %v", n)
-	}
-	if len(fs) != mat.EncodedLULen(int(n)) {
-		return nil, fmt.Errorf("core: LU payload length %d wrong for n=%v", len(fs), n)
-	}
-	for i := 0; i < int(n); i++ {
-		p := fs[2+i]
+	for _, p := range fs[2 : 2+m] {
 		//lint:ignore floateq integrality check on an untrusted pivot index; Trunc equality is the exact property validated.
-		if p != math.Trunc(p) || p < 0 || p >= n {
-			return nil, fmt.Errorf("core: LU pivot %v out of range", p)
+		if p != math.Trunc(p) || p < 0 || p >= float64(m) {
+			d.fail("core: LU pivot %v out of range", p)
+			return nil
 		}
 	}
 	lu, _ := mat.DecodeLU(fs)
-	return lu, nil
-}
-
-// safeDecodeMatrix validates an untrusted matrix payload before decoding.
-// It rejects non-integral or implausibly large dimensions that
-// comm.TryDecodeMatrix (which trusts in-process senders to encode integral
-// headers) would accept.
-func safeDecodeMatrix(fs []float64) (*mat.Matrix, error) {
-	if len(fs) < 2 {
-		return nil, fmt.Errorf("core: malformed matrix section (len %d)", len(fs))
-	}
-	r, c := fs[0], fs[1]
-	const maxDim = 1 << 24
-	//lint:ignore floateq integrality check on untrusted dimensions; Trunc equality is the exact property validated.
-	if r != math.Trunc(r) || c != math.Trunc(c) ||
-		r < 0 || c < 0 || r > maxDim || c > maxDim {
-		return nil, fmt.Errorf("core: implausible matrix dimensions %v x %v", r, c)
-	}
-	m, err := comm.TryDecodeMatrix(fs)
-	if err != nil {
-		return nil, fmt.Errorf("core: matrix section: %w", err)
-	}
-	return m, nil
+	return lu
 }

@@ -2,12 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"blocktri/internal/blocktri"
 	"blocktri/internal/comm"
+	"blocktri/internal/mat"
 	"blocktri/internal/prefix"
 )
 
@@ -104,8 +108,9 @@ func TestARDFactorSaveLoadProperty(t *testing.T) {
 		n := 1 + rng.Intn(16)
 		m := 1 + rng.Intn(4)
 		p := 1 + rng.Intn(5)
+		sched := []prefix.Schedule{prefix.KoggeStone, prefix.Chain}[rng.Intn(2)]
 		a := blocktri.RandomDiagDominant(n, m, rng)
-		orig := NewARD(a, Config{World: comm.NewWorld(p)})
+		orig := NewARD(a, Config{World: comm.NewWorld(p), Schedule: sched})
 		if err := orig.Factor(); err != nil {
 			return false
 		}
@@ -196,4 +201,138 @@ func TestSaveLoadPreservesSchedule(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatal("loaded chain factorization replayed with the wrong schedule")
 	}
+}
+
+// savedTampered factors a on a p-rank world with the given schedule,
+// applies tamper to the factor state, and returns what SaveFactor writes.
+func savedTampered(t *testing.T, a *blocktri.Matrix, p int, sched prefix.Schedule, tamper func(*ARD)) []byte {
+	t.Helper()
+	s := NewARD(a, Config{World: comm.NewWorld(p), Schedule: sched})
+	if err := s.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	tamper(s)
+	var buf bytes.Buffer
+	if _, err := s.SaveFactor(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadFactorRejectsMisshapenSections covers the corruption random byte
+// flips never produce: sections that are well formed on their own but do
+// not fit (N, M, P) and the schedule. Each must come back as an error, not
+// a panic in the caller's goroutine, one case per check.
+func TestLoadFactorRejectsMisshapenSections(t *testing.T) {
+	rng := rand.New(rand.NewSource(406))
+	a := blocktri.Oscillatory(8, 4, rng)
+	const p = 2
+	m := a.M
+	identityLU := func(n int) *mat.LU {
+		lu, err := mat.Factor(mat.Identity(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lu
+	}
+
+	// The repro: the first element's T header rewritten from 8x8 to 1x64,
+	// which keeps the section length.
+	saved := savedTampered(t, a, p, prefix.KoggeStone, func(*ARD) {})
+	var header []byte
+	for _, v := range []uint64{uint64(2 + 4*m*m), math.Float64bits(float64(2 * m)), math.Float64bits(float64(2 * m))} {
+		header = binary.LittleEndian.AppendUint64(header, v)
+	}
+	at := bytes.Index(saved, header)
+	if at < 0 {
+		t.Fatal("no 2M x 2M transfer section in the saved factor")
+	}
+	repro := append([]byte(nil), saved...)
+	binary.LittleEndian.PutUint64(repro[at+8:], math.Float64bits(1))
+	binary.LittleEndian.PutUint64(repro[at+16:], math.Float64bits(float64(4*m*m)))
+
+	for _, tc := range []struct {
+		name   string
+		sched  prefix.Schedule
+		tamper func(*ARD)
+		want   string
+	}{
+		{"rank lo", prefix.KoggeStone, func(s *ARD) { s.rk[1].lo++ }, "layout"},
+		{"rank hi", prefix.KoggeStone, func(s *ARD) { s.rk[0].hi-- }, "layout"},
+		{"rank first", prefix.KoggeStone, func(s *ARD) { s.rk[0].first = 0 }, "layout"},
+		{"element count", prefix.KoggeStone, func(s *ARD) { s.rk[0].elems = s.rk[0].elems[1:] }, "layout"},
+		{"element index", prefix.KoggeStone, func(s *ARD) { s.rk[1].elems[0].idx++ }, "has index"},
+		{"U order", prefix.KoggeStone, func(s *ARD) { s.rk[0].elems[0].luU = identityLU(m - 1) }, "want one of order"},
+		{"local total shape", prefix.KoggeStone, func(s *ARD) { s.rk[0].localTotalS = mat.New(2*m, m) }, "section of"},
+		{"local total missing", prefix.KoggeStone, func(s *ARD) { s.rk[0].localTotalS = nil }, "section of 0 words"},
+		{"round snapshot shape", prefix.KoggeStone, func(s *ARD) { s.rk[1].rounds[0].accS = mat.New(m, m) }, "section of"},
+		{"prefix shape", prefix.KoggeStone, func(s *ARD) { s.rk[1].piS = mat.New(2*m, 2*m-1) }, "section of"},
+		{"round count", prefix.KoggeStone, func(s *ARD) { s.rk[0].rounds = append(s.rk[0].rounds, s.rk[0].rounds[0]) }, "scan rounds"},
+		{"round distance", prefix.KoggeStone, func(s *ARD) { s.rk[0].rounds[0].dist = 2 }, "distance"},
+		{"chain rounds", prefix.Chain, func(s *ARD) { s.rk[0].rounds = []ardRound{{dist: 1}} }, "scan rounds"},
+		{"identity snapshot present", prefix.KoggeStone, func(s *ARD) { s.rk[1].rounds[0].preS = mat.New(2*m, 2*m) }, "has the identity"},
+		{"identity prefix present", prefix.KoggeStone, func(s *ARD) { s.rk[0].piS = mat.New(2*m, 2*m) }, "has the identity"},
+		{"reduced system order", prefix.KoggeStone, func(s *ARD) { s.luRm = identityLU(m + 1) }, "want one of order"},
+		{"transfer header 8x8 to 1x64", prefix.KoggeStone, nil, "section is 1x64"},
+	} {
+		data := repro
+		if tc.tamper != nil {
+			data = savedTampered(t, a, p, tc.sched, tc.tamper)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: LoadFactor panicked: %v", tc.name, r)
+				}
+			}()
+			_, err := LoadFactor(a, Config{World: comm.NewWorld(p)}, bytes.NewReader(data))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: got error %v, want one mentioning %q", tc.name, err, tc.want)
+			}
+		}()
+	}
+}
+
+// FuzzLoadFactor feeds LoadFactor arbitrary bytes for a few fixed systems,
+// seeded with genuine factor files. It must return an error or a solver,
+// never panic, and a solver it returns must solve without error: the
+// numbers in a file are not checkable, so the answer may be wrong, but
+// the structure the solve phase walks must be sound.
+func FuzzLoadFactor(f *testing.F) {
+	type system struct {
+		a *blocktri.Matrix
+		p int
+		b *mat.Matrix
+	}
+	rng := rand.New(rand.NewSource(407))
+	var systems []system
+	for _, c := range []struct {
+		n, m, p int
+		sched   prefix.Schedule
+	}{
+		{8, 4, 2, prefix.KoggeStone}, {13, 3, 5, prefix.KoggeStone}, {6, 2, 3, prefix.Chain}, {1, 3, 1, prefix.KoggeStone},
+	} {
+		a := blocktri.Oscillatory(c.n, c.m, rng)
+		s := NewARD(a, Config{World: comm.NewWorld(c.p), Schedule: c.sched})
+		var buf bytes.Buffer
+		if _, err := s.SaveFactor(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(len(systems)), buf.Bytes())
+		systems = append(systems, system{a, c.p, a.RandomRHS(1, rng)})
+	}
+	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
+		sys := systems[int(k)%len(systems)]
+		// Close each world: the fuzz worker runs thousands of inputs in one
+		// process, and unreaped rank workers would pile up.
+		w := comm.NewWorld(sys.p)
+		defer w.Close()
+		s, err := LoadFactor(sys.a, Config{World: w}, bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, err := s.Solve(sys.b); err != nil {
+			t.Fatalf("loaded factor does not solve: %v", err)
+		}
+	})
 }

@@ -499,9 +499,20 @@ func TestStoredBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	ardStored := ard.FactorStats().StoredBytes
-	// ARD retains at least one 2M x 2M transfer matrix per element.
-	if min := int64(a.N-1) * 8 * (2 * m64) * (2 * m64); ardStored < min {
-		t.Fatalf("ARD stored %d below element minimum %d", ardStored, min)
+	// ARD retains, exactly: per element, T's M x 2M top half, its pack and
+	// U's LU factors with pivots. Kogge-Stone over four ranks keeps ten
+	// distinct scan matrices, each with one full pack (rank 0 its local
+	// total; ranks 1-3 their local total, the round-1 aggregate received
+	// and the round-1 combine), the exclusive prefixes of ranks 2 and 3,
+	// which no round snapshot holds, and a left-half prefix pack on ranks
+	// 1-3. Then the reduced-system LU and the negated last-row packs.
+	m := a.M
+	elem := 8*int64(2*m*m+mat.PackALen(m, 2*m)) + 8*(m64*m64+m64)
+	s := 8 * int64(4*m*m+mat.PackALen(2*m, 2*m))
+	wantARD := int64(a.N-1)*elem + 10*s + 2*8*int64(4*m*m) + 3*8*int64(mat.PackALen(2*m, m)) +
+		8*(m64*m64+m64) + 2*8*int64(mat.PackALen(m, m))
+	if ardStored != wantARD {
+		t.Fatalf("ARD stored %d want %d", ardStored, wantARD)
 	}
 	sp := NewSpike(a, Config{World: comm.NewWorld(4)})
 	if err := sp.Factor(); err != nil {

@@ -39,33 +39,36 @@ func EstimateGrowth(a *blocktri.Matrix, samples int) float64 {
 		step = 1
 	}
 	maxRho := 0.0
+	ws := mat.NewWorkspace()
 	for i := 1; i <= a.N-1; i += step {
-		e, err := buildElement(a, i)
+		ws.Reset()
+		e, err := buildElement(ws, ws.GetNoClear(a.M, 2*a.M), a, i)
 		if err != nil {
 			return math.Inf(1)
 		}
-		if rho := spectralRadiusEstimate(e.t, 30); rho > maxRho {
+		if rho := spectralRadiusEstimate(ws, e.top, 30); rho > maxRho {
 			maxRho = rho
 		}
 	}
 	return maxRho
 }
 
-// spectralRadiusEstimate runs iters power iterations on t and returns the
-// converged Rayleigh-like ratio ||t*v|| / ||v||. Deterministic start
-// vector; renormalized each step.
-func spectralRadiusEstimate(t *mat.Matrix, iters int) float64 {
-	n := t.Rows
-	v := mat.New(n, 1)
+// spectralRadiusEstimate runs iters power iterations on the transfer
+// matrix with top half top, applying it through composeT (T itself is
+// never formed), and returns the converged Rayleigh-like ratio
+// ||T*v|| / ||v||. Deterministic start vector; renormalized each step.
+func spectralRadiusEstimate(ws *mat.Workspace, top *mat.Matrix, iters int) float64 {
+	n := 2 * top.Rows
+	v := ws.GetNoClear(n, 1)
 	for i := 0; i < n; i++ {
 		// Deterministic, non-symmetric start so the iteration does not
 		// stall on an invariant subspace.
 		v.Set(i, 0, 1+0.37*float64(i%7))
 	}
-	w := mat.New(n, 1)
+	w := ws.GetNoClear(n, 1)
 	rho := 0.0
 	for k := 0; k < iters; k++ {
-		mat.Mul(w, t, v)
+		composeT(ws, w, top, mat.PackedA{}, v, nil)
 		norm := mat.NormFrob(w)
 		if norm == 0 || math.IsNaN(norm) || math.IsInf(norm, 0) {
 			return norm

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -166,5 +167,59 @@ func TestPanelDegenerateSingleRHS(t *testing.T) {
 	}
 	if rr := a.RelResidual(x, b); rr > solveTol {
 		t.Errorf("degenerate R=1 solve: relative residual %v", rr)
+	}
+}
+
+// TestStructuredComposeMatchesDenseProduct pins the factor-phase shortcut
+// every scan element goes through. buildElement's fused negated solve must
+// give T's top half equal (==) to two separate solves and a negation, and
+// composeT, applying T = [[TL TR],[I 0]] through its block structure on
+// the pack or without it, must reproduce the full 2M x 2M product bit for
+// bit, including the +0 the identity rows make of a -0 in S. M=3 runs
+// below the packed kernel's k >= 8 on every host; M=8 and M=16 run on it
+// with the FMA kernels.
+func TestStructuredComposeMatchesDenseProduct(t *testing.T) {
+	rng := rand.New(rand.NewSource(229))
+	for _, m := range []int{3, 8, 16} {
+		a := blocktri.Oscillatory(6, m, rng)
+		ws := mat.NewWorkspace()
+		for i := 1; i < a.N; i++ {
+			e, err := buildElement(ws, ws.GetNoClear(m, 2*m), a, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lu, err := mat.Factor(a.Upper[i-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dense := mat.New(2*m, 2*m)
+			lu.SolveTo(dense.View(0, 0, m, m), a.Diag[i-1])
+			if a.Lower[i-1] != nil {
+				lu.SolveTo(dense.View(0, m, m, m), a.Lower[i-1])
+			}
+			mat.Scale(dense.View(0, 0, m, 2*m), -1)
+			dense.View(m, 0, m, m).SetIdentity()
+
+			tFull := mat.New(2*m, 2*m)
+			composeT(ws, tFull, e.top, mat.PackedA{}, nil, nil)
+			if !tFull.Equal(dense) {
+				t.Fatalf("M=%d element %d: structured T differs from the dense build", m, i)
+			}
+			s := mat.Random(2*m, 2*m, rng)
+			s.Set(0, 1, math.Copysign(0, -1))
+			s.Set(m-1, 2*m-1, math.Copysign(0, -1))
+			want := mat.New(2*m, 2*m)
+			mat.Mul(want, tFull, s)
+			got := mat.New(2*m, 2*m)
+			for _, tp := range []mat.PackedA{{}, mat.NewPackedA(1, e.top)} {
+				composeT(ws, got, e.top, tp, s, make([]float64, mat.PackBLen(2*m, 2*m)))
+				for k := range got.Data {
+					if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
+						t.Fatalf("M=%d element %d packed=%v: T*S entry %d is %v, dense product %v",
+							m, i, tp.Valid(), k, got.Data[k], want.Data[k])
+					}
+				}
+			}
+		}
 	}
 }

@@ -212,7 +212,6 @@ func (s *PCR) Factor() error {
 // coefficients and the final diagonal factorizations.
 func (s *PCR) storedBytes() int64 {
 	var total int64
-	m := int64(s.a.M)
 	for _, st := range s.rk {
 		if st == nil {
 			continue
@@ -222,7 +221,7 @@ func (s *PCR) storedBytes() int64 {
 				total += matBytes(lev.alpha[k]) + matBytes(lev.beta[k])
 			}
 		}
-		total += int64(len(st.luD)) * (8*m*m + 8*m)
+		total += int64(len(st.luD)) * luBytes(s.a.M)
 	}
 	return total
 }

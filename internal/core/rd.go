@@ -152,25 +152,25 @@ func (rd *RD) rdSolveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) (int64, f
 	r, p := c.Rank(), c.Size()
 	n, m, rhs := a.N, a.M, b.Cols
 	lo, hi := PartRange(n, p, r)
-	first := lo
-	if first < 1 {
-		first = 1
-	}
+	first := max(lo, 1)
 	ws := rd.ws[r]
 	ws.Reset()
 	var fc flopCounter
 
 	// Phase 1: build local scan elements and reduce them to the local
-	// total — the O(M^3 N/P) term, redone on every RD solve. The running
-	// total ping-pongs between two arena buffers per half.
-	affs := make([]Affine, 0, max(hi-first, 0))
+	// total — the O(M^3 N/P) term, redone on every RD solve. The elements
+	// and the S compose are ARD's factor-phase ones, so the two solvers
+	// agree bit for bit. The running total ping-pongs between two arena
+	// buffers per half.
+	elems := make([]element, 0, max(hi-first, 0))
+	fs := make([]*mat.Matrix, 0, max(hi-first, 0))
 	sbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, 2*m), ws.GetNoClear(2*m, 2*m)}
 	hbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
 	cur := 0
 	localTotal := Affine{}
 	var buildErr error
 	for i := first; i < hi; i++ {
-		e, err := buildElementWS(ws, a, i)
+		e, err := buildElement(ws, ws.GetNoClear(m, 2*m), a, i)
 		if err != nil {
 			buildErr = err
 			break
@@ -179,18 +179,18 @@ func (rd *RD) rdSolveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) (int64, f
 		if a.Lower[i-1] != nil {
 			fc.add(luSolveFlops(m, m))
 		}
-		af := Affine{S: e.t, H: e.buildFInto(ws, m, wsBlockOf(ws, b, m, i-1))}
+		f := e.buildFInto(ws, m, wsBlockOf(ws, b, m, i-1))
 		fc.add(luSolveFlops(m, rhs))
-		affs = append(affs, af)
+		elems, fs = append(elems, e), append(fs, f)
+		ns, nh := sbuf[cur], hbuf[cur]
+		cur ^= 1
+		composeT(ws, ns, e.top, mat.PackedA{}, localTotal.S, nil)
 		if localTotal.IsIdentity() {
-			localTotal = af
+			localTotal = Affine{S: ns, H: f}
 			continue
 		}
 		fc.add(gemmFlops(2*m, 2*m, 2*m) + gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-		ns, nh := sbuf[cur], hbuf[cur]
-		cur ^= 1
-		mat.Mul(ns, af.S, localTotal.S)
-		applyT(ws, af.S, mat.PackedA{}, localTotal.H, af.H, nh, m, nil)
+		applyT(ws, e.top, mat.PackedA{}, localTotal.H, f, nh, m, nil)
 		localTotal = Affine{S: ns, H: nh}
 	}
 	if buildErr != nil {
@@ -254,13 +254,13 @@ func (rd *RD) rdSolveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) (int64, f
 	}
 	ybuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
 	ycur := 0
-	for k, i := 0, first; i < hi; k, i = k+1, i+1 {
+	for k, e := range elems {
 		dst := ybuf[ycur]
 		ycur ^= 1
-		applyT(ws, affs[k].S, mat.PackedA{}, y, affs[k].H, dst, m, nil)
+		applyT(ws, e.top, mat.PackedA{}, y, fs[k], dst, m, nil)
 		y = dst
 		fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-		wsBlockOf(ws, x, m, i).CopyFrom(ws.View(y, 0, 0, m, rhs))
+		wsBlockOf(ws, x, m, e.idx).CopyFrom(ws.View(y, 0, 0, m, rhs))
 	}
 	return fc.n, growth
 }

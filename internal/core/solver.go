@@ -78,6 +78,14 @@ func matBytes(m *mat.Matrix) int64 {
 	return 8 * int64(len(m.Data))
 }
 
+// luBytes returns the retained size of an M x M LU factorization: the
+// packed factors plus the pivot vector.
+func luBytes(m int) int64 { return 8*int64(m)*int64(m) + 8*int64(m) }
+
+// packBytes returns the retained size of a packed operand (0 for the zero
+// PackedA, which has no rows).
+func packBytes(p mat.PackedA) int64 { return 8 * int64(mat.PackALen(p.Rows(), p.K())) }
+
 // mergeRankFlops folds per-rank counters into total and critical-path
 // figures on a SolveStats.
 func (s *SolveStats) mergeRankFlops(perRank []int64) {

@@ -74,10 +74,7 @@ func (t *Thomas) Factor() error {
 		fc.add(gemmFlops(m, m, m))
 	}
 	t.luD, t.w = luD, w
-	stored := int64(0)
-	for range luD {
-		stored += 8*int64(m)*int64(m) + 8*int64(m)
-	}
+	stored := int64(len(luD)) * luBytes(m)
 	for _, wi := range w {
 		stored += matBytes(wi)
 	}

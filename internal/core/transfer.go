@@ -28,55 +28,51 @@ func PartRange(n, p, r int) (lo, hi int) {
 //	y_i = T*y_{i-1} + F,  T = | -U^{-1}D   -U^{-1}L |  F = | U^{-1}b |
 //	                          |     I          0    |      |    0    |
 //
-// built from block row j = i-1. T is matrix-only; luU is retained so the
-// right-hand-side part F can be (re)built per solve.
+// built from block row j = i-1. Only T's working top half is stored: the
+// [I 0] bottom is structure that applyT and composeT apply as a copy. luU
+// is retained so the right-hand-side part F can be (re)built per solve.
 type element struct {
 	idx int         // element index i (the state it produces)
-	t   *mat.Matrix // 2M x 2M transfer matrix
+	top *mat.Matrix // [TL TR] = -U^{-1} [D_j L_j], M x 2M
 	luU *mat.LU     // factorization of U_{i-1}, for building F
 
-	// tPack is the packed image of T's working top half [TL TR] (M x 2M),
-	// built once by ARD's factor phase so every solve-phase applyT runs the
-	// packed kernel without repacking T. RD rebuilds its elements per solve
-	// and leaves it zero; applyT then takes the unpacked path.
+	// tPack is the packed image of top, built by ARD's factor phase so its
+	// local scan and every solve-phase applyT run the packed kernel without
+	// repacking. RD rebuilds its elements per solve and leaves it zero;
+	// applyT and composeT then multiply through top directly.
 	tPack mat.PackedA
 }
 
-// buildElement constructs element i from the blocks of a. It costs one
-// M x M LU factorization plus two M-column triangular solves: O(M^3).
-func buildElement(a *blocktri.Matrix, i int) (element, error) {
+// buildElement constructs element i into top (M x 2M, overwritten), with
+// the U factorization checked out of ws: ARD's per-rank factor stores,
+// RD's per-solve arena, or EstimateGrowth's scratch. It costs one M x M LU
+// factorization plus one 2M-column substitution, run on a buffer holding
+// -D and -L: negation commutes with every rounding, so the result equals
+// -U^{-1}D and -U^{-1}L solved apart and negated afterwards (up to the sign
+// of exact zeros), and the substitution's per-column arithmetic does not
+// depend on the panel width. O(M^3).
+func buildElement(ws *mat.Workspace, top *mat.Matrix, a *blocktri.Matrix, i int) (element, error) {
 	j := i - 1
 	m := a.M
-	luU, err := mat.Factor(a.Upper[j])
+	luU, err := ws.LU(a.Upper[j])
 	if err != nil {
 		return element{}, fmt.Errorf("block row %d: %w", j, ErrSingularSuper)
 	}
-	t := mat.New(2*m, 2*m)
-	// Top-left: -U^{-1} D_j.
-	tl := t.View(0, 0, m, m)
-	luU.SolveTo(tl, a.Diag[j])
-	mat.Scale(tl, -1)
-	// Top-right: -U^{-1} L_j (zero when j == 0: x_{-1} = 0).
+	mat.Neg(top.View(0, 0, m, m), a.Diag[j])
 	if a.Lower[j] != nil {
-		tr := t.View(0, m, m, m)
-		luU.SolveTo(tr, a.Lower[j])
-		mat.Scale(tr, -1)
+		mat.Neg(top.View(0, m, m, m), a.Lower[j])
+		luU.SolveInPlace(top)
+	} else {
+		// TR stays zero (x_{-1} = 0), so only -D is solved for.
+		top.View(0, m, m, m).Zero()
+		luU.SolveInPlace(top.View(0, 0, m, m))
 	}
-	// Bottom-left: identity.
-	t.View(m, 0, m, m).SetIdentity()
-	return element{idx: i, t: t, luU: luU}, nil
+	return element{idx: i, top: top, luU: luU}, nil
 }
 
-// buildF constructs the right-hand-side part F = [U^{-1} b_{i-1} ; 0]
-// (2M x R) for the element, costing O(M^2 R).
-func (e element) buildF(m int, bBlock *mat.Matrix) *mat.Matrix {
-	f := mat.New(2*m, bBlock.Cols)
-	e.luU.SolveTo(f.View(0, 0, m, bBlock.Cols), bBlock)
-	return f
-}
-
-// buildFInto is buildF with the result checked out of a workspace: the hot
-// per-solve path allocates nothing once the arena has warmed up.
+// buildFInto constructs the right-hand-side part F = [U^{-1} b_{i-1} ; 0]
+// (2M x R) for the element with the result checked out of a workspace: the
+// hot per-solve path allocates nothing once the arena has warmed up.
 //
 //perf:hotpath
 func (e element) buildFInto(ws *mat.Workspace, m int, bBlock *mat.Matrix) *mat.Matrix {
@@ -89,28 +85,41 @@ func (e element) buildFInto(ws *mat.Workspace, m int, bBlock *mat.Matrix) *mat.M
 	return f
 }
 
-// buildElementWS is buildElement with all storage (the transfer matrix and
-// the U factorization) checked out of a workspace. RD uses it to rebuild its
-// per-solve elements without per-solve heap allocation; the results are
-// bitwise identical to buildElement's.
-func buildElementWS(ws *mat.Workspace, a *blocktri.Matrix, i int) (element, error) {
-	j := i - 1
-	m := a.M
-	luU, err := ws.LU(a.Upper[j])
-	if err != nil {
-		return element{}, fmt.Errorf("block row %d: %w", j, ErrSingularSuper)
+// composeT computes dst = T*s for an element's transfer matrix
+// T = [[TL TR],[I 0]], given its top half, and a 2M-row s (nil stands for
+// the identity and writes T itself), through the block structure:
+//
+//	dst_top = [TL TR]*s,  dst_bot = s_top + 0
+//
+// That is half the flops of the dense 2M x 2M product, and T is never
+// materialized or repacked: a valid tp (top's factor-time pack) runs the
+// top on the packed kernel, scratching the panel pack in bs. The bits are
+// the dense product's: its top rows are the same k-ascending sums, and its
+// identity rows reproduce s_top except that a -0 comes out +0, which the
+// added +0 reproduces. ARD's local scan, RD's per-solve local reduction
+// and EstimateGrowth's power iteration all compose through here. dst must
+// not alias s.
+func composeT(ws *mat.Workspace, dst, top *mat.Matrix, tp mat.PackedA, s *mat.Matrix, bs []float64) {
+	m, c := top.Rows, dst.Cols
+	dTop := ws.View(dst, 0, 0, m, c)
+	if s == nil {
+		dTop.CopyFrom(top)
+		ws.View(dst, m, 0, m, m).SetIdentity()
+		ws.View(dst, m, m, m, m).Zero()
+		return
 	}
-	t := ws.Get(2*m, 2*m)
-	tl := ws.View(t, 0, 0, m, m)
-	luU.SolveTo(tl, a.Diag[j])
-	mat.Scale(tl, -1)
-	if a.Lower[j] != nil {
-		tr := ws.View(t, 0, m, m, m)
-		luU.SolveTo(tr, a.Lower[j])
-		mat.Scale(tr, -1)
+	for k := 0; k < m; k++ {
+		d := dst.Data[(m+k)*dst.Stride : (m+k)*dst.Stride+c]
+		for j, v := range s.Data[k*s.Stride : k*s.Stride+c] {
+			d[j] = v + 0
+		}
 	}
-	ws.View(t, m, 0, m, m).SetIdentity()
-	return element{idx: i, t: t, luU: luU}, nil
+	if tp.Valid() {
+		dTop.Zero()
+		mat.MulAddPacked(dTop, tp, s, bs)
+		return
+	}
+	mat.Mul(dTop, top, s)
 }
 
 // applyT computes dst = T*y + f (2M x R) exploiting the transfer matrix's
@@ -122,7 +131,7 @@ func buildElementWS(ws *mat.Workspace, a *blocktri.Matrix, i int) (element, erro
 // zero blocks contribute a copy, not arithmetic). dst must not alias y or
 // f. When the caller holds a prepacked top half (tp) and the shape runs on
 // the packed kernel, the product folds the whole M x R panel through one
-// MulAddPacked; the fallback multiplies through t directly. The packed
+// MulAddPacked; the fallback multiplies through top directly. The packed
 // branch seeds dst_top with f and adds the k-ascending product total once,
 // the exact mirror of the fallback's product-then-add — IEEE addition is
 // commutative, so both orders round identically and the two branches are
@@ -132,24 +141,17 @@ func buildElementWS(ws *mat.Workspace, a *blocktri.Matrix, i int) (element, erro
 // given shape dispatches to.
 //
 //perf:hotpath
-func applyT(ws *mat.Workspace, t *mat.Matrix, tp mat.PackedA, y, f, dst *mat.Matrix, m int, bs []float64) {
+func applyT(ws *mat.Workspace, top *mat.Matrix, tp mat.PackedA, y, f, dst *mat.Matrix, m int, bs []float64) {
 	rhs := y.Cols
 	dTop := ws.View(dst, 0, 0, m, rhs)
 	if tp.Valid() && mat.PanelPacked(m, 2*m, rhs) {
 		dTop.CopyFrom(ws.View(f, 0, 0, m, rhs))
 		mat.MulAddPacked(dTop, tp, y, bs)
 	} else {
-		//lint:ignore matalias dst is documented not to alias y or f, and t is never a solve destination
-		mat.Mul(dTop, ws.View(t, 0, 0, m, 2*m), y)
+		mat.Mul(dTop, top, y)
 		mat.Add(dTop, dTop, ws.View(f, 0, 0, m, rhs))
 	}
 	ws.View(dst, m, 0, m, rhs).CopyFrom(ws.View(y, 0, 0, m, rhs))
-}
-
-// affine returns the full scan element (T, F) for the given right-hand
-// side block.
-func (e element) affine(m int, bBlock *mat.Matrix) Affine {
-	return Affine{S: e.t, H: e.buildF(m, bBlock)}
 }
 
 // applyPrefixState computes y_{s-1} = S[:, 0:M]*x0 + H, the state entering
@@ -184,26 +186,14 @@ func applyPrefixState(ws *mat.Workspace, m int, s *mat.Matrix, sp mat.PackedA, h
 	return y
 }
 
-// reducedSystem assembles the M x M reduced system for x_0 from the global
-// total prefix (S, H) = P_{N-1} and the last block row:
+// reducedMatrixWS assembles the M x M reduced system for x_0 from the
+// global total prefix (S, H) = P_{N-1} and the last block row:
 //
 //	(D_{N-1} S11 + L_{N-1} S21) x0 = b_{N-1} - D_{N-1} H1 - L_{N-1} H2
 //
-// It returns the reduced matrix; the right-hand side is assembled
-// separately by reducedRHS so ARD can factor the matrix once.
-func reducedMatrix(a *blocktri.Matrix, s *mat.Matrix) *mat.Matrix {
-	m := a.M
-	last := a.N - 1
-	rm := mat.New(m, m)
-	mat.Mul(rm, a.Diag[last], s.View(0, 0, m, m))
-	tmp := mat.New(m, m)
-	mat.Mul(tmp, a.Lower[last], s.View(m, 0, m, m))
-	mat.Add(rm, rm, tmp)
-	return rm
-}
-
-// reducedMatrixWS is reducedMatrix with the result and scratch checked out
-// of a workspace (the RD per-solve path; ARD assembles it once in Factor).
+// It returns the reduced matrix, checked out of ws with its scratch; the
+// right-hand side is assembled separately by reducedRHS so ARD can factor
+// the matrix once.
 func reducedMatrixWS(ws *mat.Workspace, a *blocktri.Matrix, s *mat.Matrix) *mat.Matrix {
 	m := a.M
 	last := a.N - 1

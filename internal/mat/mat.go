@@ -116,16 +116,16 @@ func (m *Matrix) viewInto(dst *Matrix, i, j, r, c int) {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("mat: view (%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
+	// Field by field, not *dst = Matrix{...}: the composite literal goes
+	// through a stack temporary written with 8-byte stores and copied out
+	// with 16-byte loads, which store forwarding cannot serve, and the
+	// stall made this the hottest instruction of the one-column solve.
+	dst.Rows, dst.Cols, dst.Stride = r, c, m.Stride
 	if r == 0 || c == 0 {
-		*dst = Matrix{Rows: r, Cols: c, Stride: m.Stride}
+		dst.Data = nil
 		return
 	}
-	*dst = Matrix{
-		Rows:   r,
-		Cols:   c,
-		Stride: m.Stride,
-		Data:   m.Data[i*m.Stride+j : (i+r-1)*m.Stride+j+c],
-	}
+	dst.Data = m.Data[i*m.Stride+j : (i+r-1)*m.Stride+j+c]
 }
 
 // Row returns a view of row i as a 1 x Cols matrix.

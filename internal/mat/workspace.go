@@ -44,6 +44,20 @@ const minSlabInts = 1 << 8
 // first checkout.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
+// Reserve sizes the arena for a demand known up front: the next floats
+// float64 values and ints int values of checkouts come from one new slab
+// each (or from room the arena already has), so a store filled once, such
+// as a rank's factor-phase state, costs exactly one allocation per kind
+// and retains no doubling slack.
+func (w *Workspace) Reserve(floats, ints int) {
+	if floats > 0 {
+		w.slabs = append(w.slabs, make([]float64, floats))
+	}
+	if ints > 0 {
+		w.islabs = append(w.islabs, make([]int, ints))
+	}
+}
+
 // Reset returns every checkout to the arena. Previously returned matrices,
 // views, int slices and LU factorizations become invalid: their storage is
 // reused by subsequent checkouts.
@@ -113,11 +127,20 @@ func (w *Workspace) Ints(n int) []int {
 // header checks out a pooled Matrix header.
 func (w *Workspace) header() *Matrix {
 	if w.hi == len(w.hdrs) {
-		w.hdrs = append(w.hdrs, new(Matrix))
+		w.growHeaders()
 	}
 	m := w.hdrs[w.hi]
 	w.hi++
 	return m
+}
+
+// growHeaders doubles the header pool in one chunk, so n checkouts from a
+// cold arena cost O(log n) allocations rather than n.
+func (w *Workspace) growHeaders() {
+	chunk := make([]Matrix, max(len(w.hdrs), 8))
+	for k := range chunk {
+		w.hdrs = append(w.hdrs, &chunk[k])
+	}
 }
 
 // GetNoClear checks out an r x c matrix with unspecified contents. Use Get
@@ -165,7 +188,11 @@ func (w *Workspace) LU(a *Matrix) (*LU, error) {
 		return nil, ErrShape
 	}
 	if w.lui == len(w.lus) {
-		w.lus = append(w.lus, new(LU))
+		// Chunked like the header pool.
+		chunk := make([]LU, max(len(w.lus), 4))
+		for k := range chunk {
+			w.lus = append(w.lus, &chunk[k])
+		}
 	}
 	lu := w.lus[w.lui]
 	w.lui++

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,5 +148,47 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 	if !fc.contains("a") || !fc.contains("c") {
 		t.Fatal("a and c should be resident")
+	}
+}
+
+// TestMatrixKeyStable pins the content keys of a few matrices, a single
+// block row among them. A key is a digest of WriteTo's bytes, so a change
+// to the serialization would silently give the same matrix a new key.
+func TestMatrixKeyStable(t *testing.T) {
+	one := blocktri.New(1, 2)
+	one.Diag[0].Set(0, 0, 4)
+	one.Diag[0].Set(0, 1, -1.5)
+	one.Diag[0].Set(1, 1, 3)
+	for _, tc := range []struct {
+		a    *blocktri.Matrix
+		want string
+	}{
+		{blocktri.Oscillatory(128, 8, rand.New(rand.NewSource(1))), "38e4d647519c9f3c1f07256de889f2f8"},
+		{blocktri.RandomDiagDominant(17, 3, rand.New(rand.NewSource(2))), "2d494df5dfb0a3515d22740ecad78fdd"},
+		{blocktri.Poisson2D(8, 64), "e2f4e122b0ea53ea92194d08efccbee2"},
+		{one, "76615e0b1da96d4718741015e9931c5d"},
+	} {
+		got, err := MatrixKey(tc.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("N=%d M=%d: key %s, want %s", tc.a.N, tc.a.M, got, tc.want)
+		}
+	}
+}
+
+// TestMatrixKeyAllocationBound: hashing a matrix encodes one block row at
+// a time into a reused buffer, so its allocation count does not grow with
+// the number of values (this matrix has 24,448).
+func TestMatrixKeyAllocationBound(t *testing.T) {
+	a := blocktri.Oscillatory(128, 8, rand.New(rand.NewSource(1)))
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := MatrixKey(a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("MatrixKey: %v allocs/op, want <= 16", allocs)
 	}
 }

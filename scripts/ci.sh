@@ -23,6 +23,10 @@ go test -race ./...
 # FMA kernels diverge from them in arithmetic: run the dense substrate and
 # its solver and service layers on the portable path too.
 BLOCKTRI_NOAVX512=1 go test ./internal/mat ./internal/core ./internal/serve
+# Factor files are untrusted input: fuzz LoadFactor for a fixed 10 s,
+# seeded with genuine factor files (FuzzLoadFactor). It must reject or
+# load every input, never panic, and whatever it loads must solve.
+go test ./internal/core -run '^$' -fuzz '^FuzzLoadFactor$' -fuzztime 10s
 # Chaos smoke: a fixed-seed fault-injection campaign over every solver.
 # The invariant (docs/RESILIENCE.md): each trial ends in a correct solution
 # or a clean typed error — never a hang, never a silent wrong answer.
@@ -34,7 +38,9 @@ go run ./cmd/blocktri-chaos -seed 1 -plans 32
 go run -race ./cmd/blocktri-chaos -service -seed 1 -tenants 5 -requests 120
 # Perf gate: re-measure the hot paths and fail on >15% ns/op regression or
 # any allocs/op increase against the committed BENCH_*.json baselines —
-# the ARD solve (ARDSolve/R={1,4,64,256}: single, narrow and batched), the
+# the ARD solve (ARDSolve/R={1,4,64,256}: single, narrow and batched) and
+# factor (ARDFactor/N=512,M=16,P=8 at the solve entries' configuration and
+# ARDFactor/N=128,M=8,P=2 at the service's fresh-matrix shape), the
 # GEMM kernel tiers including the skinny panel shapes the panelized solve
 # issues and the narrow tier (GEMM/m=16,k=32,n={1,4}), the lint suite, and
 # the serve warm-factor path (wider, budget-backed gates; see
