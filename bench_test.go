@@ -1,12 +1,10 @@
-// Benchmarks regenerating the measured quantity behind every experiment
-// table and figure (E1..E10, see DESIGN.md). Each benchmark measures the
-// operation whose time the corresponding table reports; custom metrics
-// (flops, bytes, speedup) are attached via b.ReportMetric. Run with:
+// Benchmarks for the dense kernels and the allocation-free ARD solve, plus
+// a sanity guard on the benchmark workload. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 //
-// The full formatted tables (with sweeps and derived columns) come from
-// cmd/blocktri-bench.
+// The experiment tables (E1..E13, see DESIGN.md) come from
+// cmd/blocktri-bench -exp EN.
 package blocktri_test
 
 import (
@@ -15,9 +13,7 @@ import (
 	"testing"
 
 	"blocktri"
-	"blocktri/internal/costmodel"
 	"blocktri/internal/mat"
-	"blocktri/internal/prefix"
 	"blocktri/internal/workload"
 )
 
@@ -30,262 +26,6 @@ func benchMatrix(n, m int) *blocktri.Matrix {
 
 func benchRHS(a *blocktri.Matrix, r int, seed int64) *blocktri.DenseMatrix {
 	return a.RandomRHS(r, rand.New(rand.NewSource(seed)))
-}
-
-// solveLoop runs s.Solve(b) b.N times, reporting the analytic flop rate if
-// the solver exposes stats.
-func solveLoop(b *testing.B, s blocktri.Solver, rhs *blocktri.DenseMatrix) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Solve(rhs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	type statser interface{ Stats() blocktri.SolveStats }
-	if st, ok := s.(statser); ok {
-		b.ReportMetric(float64(st.Stats().Flops), "flops/op")
-		b.ReportMetric(float64(st.Stats().Comm.BytesSent), "netbytes/op")
-	}
-}
-
-// E1: per-solve cost of RD vs factor-then-solve ARD at the headline
-// configuration. The E1 table's totals for R right-hand sides are
-// R*RD vs ARDFactor + R*ARDSolve.
-func BenchmarkE1_RDSolve(b *testing.B) {
-	defer quietKernels()()
-	a := benchMatrix(512, 16)
-	rhs := benchRHS(a, 1, 2)
-	solveLoop(b, blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(8)}), rhs)
-}
-
-func BenchmarkE1_ARDFactor(b *testing.B) {
-	defer quietKernels()()
-	a := benchMatrix(512, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-		if err := ard.Factor(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1_ARDSolve(b *testing.B) {
-	defer quietKernels()()
-	a := benchMatrix(512, 16)
-	ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-	if err := ard.Factor(); err != nil {
-		b.Fatal(err)
-	}
-	solveLoop(b, ard, benchRHS(a, 1, 2))
-}
-
-// E2: the speedup-vs-R curve is determined by the per-call times of RD and
-// ARD at each block size M; benchmark both across the E2 sweep.
-func BenchmarkE2_SpeedupVsR(b *testing.B) {
-	defer quietKernels()()
-	for _, m := range []int{4, 8, 16, 32} {
-		a := benchMatrix(256, m)
-		rhs := benchRHS(a, 1, 3)
-		b.Run(fmt.Sprintf("RD/M=%d", m), func(b *testing.B) {
-			solveLoop(b, blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(8)}), rhs)
-		})
-		b.Run(fmt.Sprintf("ARD/M=%d", m), func(b *testing.B) {
-			ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-			if err := ard.Factor(); err != nil {
-				b.Fatal(err)
-			}
-			solveLoop(b, ard, rhs)
-			prm := blocktri.CostParams{N: 256, M: m, P: 8, R: 1}
-			b.ReportMetric(blocktri.PredictedSpeedup(prm, 1024), "speedup-at-R1024")
-		})
-	}
-}
-
-// E3: strong scaling of one solve across rank counts.
-func BenchmarkE3_StrongScaling(b *testing.B) {
-	defer quietKernels()()
-	for _, p := range []int{1, 2, 4, 8, 16} {
-		a := benchMatrix(2048, 8)
-		rhs := benchRHS(a, 1, 4)
-		b.Run(fmt.Sprintf("RD/P=%d", p), func(b *testing.B) {
-			solveLoop(b, blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(p)}), rhs)
-		})
-		b.Run(fmt.Sprintf("ARD/P=%d", p), func(b *testing.B) {
-			ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(p)})
-			if err := ard.Factor(); err != nil {
-				b.Fatal(err)
-			}
-			solveLoop(b, ard, rhs)
-		})
-	}
-}
-
-// E4: runtime vs N.
-func BenchmarkE4_RuntimeVsN(b *testing.B) {
-	defer quietKernels()()
-	for _, n := range []int{128, 512, 2048} {
-		a := benchMatrix(n, 8)
-		rhs := benchRHS(a, 1, 5)
-		b.Run(fmt.Sprintf("RD/N=%d", n), func(b *testing.B) {
-			solveLoop(b, blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(8)}), rhs)
-		})
-		b.Run(fmt.Sprintf("ARD/N=%d", n), func(b *testing.B) {
-			ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-			if err := ard.Factor(); err != nil {
-				b.Fatal(err)
-			}
-			solveLoop(b, ard, rhs)
-		})
-		b.Run(fmt.Sprintf("Thomas/N=%d", n), func(b *testing.B) {
-			th := blocktri.NewThomas(a)
-			if err := th.Factor(); err != nil {
-				b.Fatal(err)
-			}
-			solveLoop(b, th, rhs)
-		})
-	}
-}
-
-// E5: runtime vs block size M (the M^3 vs M^2 split).
-func BenchmarkE5_RuntimeVsM(b *testing.B) {
-	defer quietKernels()()
-	for _, m := range []int{4, 8, 16, 32} {
-		a := benchMatrix(256, m)
-		rhs := benchRHS(a, 1, 6)
-		b.Run(fmt.Sprintf("RD/M=%d", m), func(b *testing.B) {
-			solveLoop(b, blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(8)}), rhs)
-		})
-		b.Run(fmt.Sprintf("ARD/M=%d", m), func(b *testing.B) {
-			ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-			if err := ard.Factor(); err != nil {
-				b.Fatal(err)
-			}
-			solveLoop(b, ard, rhs)
-		})
-	}
-}
-
-// E6: the accuracy table's underlying solves (all solvers, one family mix).
-func BenchmarkE6_AccuracySolves(b *testing.B) {
-	defer quietKernels()()
-	a := workload.Build(workload.RandomDD, 64, 4, 7)
-	rhs := benchRHS(a, 2, 7)
-	for _, s := range []blocktri.Solver{
-		blocktri.NewThomas(a),
-		blocktri.NewBCR(a),
-		blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(4)}),
-	} {
-		b.Run(s.Name(), func(b *testing.B) { solveLoop(b, s, rhs) })
-	}
-}
-
-// E7: communication per solve — the times here pair with the byte/message
-// metrics reported on each benchmark line.
-func BenchmarkE7_Comm(b *testing.B) {
-	defer quietKernels()()
-	for _, p := range []int{2, 8, 32} {
-		a := benchMatrix(1024, 16)
-		rhs := benchRHS(a, 1, 8)
-		b.Run(fmt.Sprintf("RD/P=%d", p), func(b *testing.B) {
-			solveLoop(b, blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(p)}), rhs)
-		})
-		b.Run(fmt.Sprintf("ARDSolve/P=%d", p), func(b *testing.B) {
-			ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(p)})
-			if err := ard.Factor(); err != nil {
-				b.Fatal(err)
-			}
-			solveLoop(b, ard, rhs)
-		})
-	}
-}
-
-// E8: ARD's two phases at the headline configuration.
-func BenchmarkE8_PhaseBreakdown(b *testing.B) {
-	defer quietKernels()()
-	a := benchMatrix(512, 16)
-	rhs := benchRHS(a, 1, 9)
-	b.Run("Factor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-			if err := ard.Factor(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Solve", func(b *testing.B) {
-		ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-		if err := ard.Factor(); err != nil {
-			b.Fatal(err)
-		}
-		solveLoop(b, ard, rhs)
-	})
-}
-
-// E9: scan-schedule ablation for RD.
-func BenchmarkE9_Ablation(b *testing.B) {
-	defer quietKernels()()
-	a := benchMatrix(1024, 8)
-	rhs := benchRHS(a, 1, 10)
-	for _, sched := range []blocktri.Schedule{prefix.KoggeStone, prefix.BrentKung, prefix.Chain} {
-		b.Run(sched.String(), func(b *testing.B) {
-			rd := blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(8), Schedule: sched})
-			solveLoop(b, rd, rhs)
-		})
-	}
-}
-
-// E10: model validation — the benchmark time is the measured side; the
-// model's flop prediction is attached as a metric for comparison.
-func BenchmarkE10_ModelValidation(b *testing.B) {
-	defer quietKernels()()
-	prm := costmodel.Params{N: 256, M: 8, P: 4, R: 1}
-	a := benchMatrix(prm.N, prm.M)
-	rhs := benchRHS(a, prm.R, 11)
-	b.Run("RD", func(b *testing.B) {
-		rd := blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(prm.P)})
-		solveLoop(b, rd, rhs)
-		b.ReportMetric(float64(costmodel.RDSolve(prm).Flops), "modelflops/op")
-	})
-	b.Run("ARD", func(b *testing.B) {
-		ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(prm.P)})
-		if err := ard.Factor(); err != nil {
-			b.Fatal(err)
-		}
-		solveLoop(b, ard, rhs)
-		b.ReportMetric(float64(costmodel.ARDSolve(prm).Flops), "modelflops/op")
-	})
-}
-
-// E11: ARD vs the SPIKE partition method (the stable alternative).
-func BenchmarkE11_SpikeVsARD(b *testing.B) {
-	defer quietKernels()()
-	a := benchMatrix(512, 16)
-	rhs := benchRHS(a, 1, 14)
-	b.Run("ARDSolve", func(b *testing.B) {
-		ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-		if err := ard.Factor(); err != nil {
-			b.Fatal(err)
-		}
-		solveLoop(b, ard, rhs)
-	})
-	b.Run("SpikeSolve", func(b *testing.B) {
-		sp := blocktri.NewSpike(a, blocktri.Config{World: blocktri.NewWorld(8)})
-		if err := sp.Factor(); err != nil {
-			b.Fatal(err)
-		}
-		solveLoop(b, sp, rhs)
-	})
-	b.Run("SpikeFactor", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sp := blocktri.NewSpike(a, blocktri.Config{World: blocktri.NewWorld(8)})
-			if err := sp.Factor(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Substrate microbenchmarks: the dense kernels every solver sits on.
@@ -346,30 +86,6 @@ func TestBenchmarkWorkloadSanity(t *testing.T) {
 	if rr := a.RelResidual(x, rhs); rr > 1e-9 {
 		t.Fatalf("benchmark workload residual %v too large", rr)
 	}
-}
-
-// E13: every solver's per-solve cost at the landscape configuration.
-func BenchmarkE13_Landscape(b *testing.B) {
-	defer quietKernels()()
-	a := benchMatrix(512, 16)
-	rhs := benchRHS(a, 1, 20)
-	b.Run("Thomas", func(b *testing.B) {
-		th := blocktri.NewThomas(a)
-		if err := th.Factor(); err != nil {
-			b.Fatal(err)
-		}
-		solveLoop(b, th, rhs)
-	})
-	b.Run("PCRSolve", func(b *testing.B) {
-		pcr := blocktri.NewPCR(a, blocktri.Config{World: blocktri.NewWorld(8)})
-		if err := pcr.Factor(); err != nil {
-			b.Fatal(err)
-		}
-		solveLoop(b, pcr, rhs)
-	})
-	b.Run("BCR", func(b *testing.B) {
-		solveLoop(b, blocktri.NewBCR(a), rhs)
-	})
 }
 
 // BenchmarkARDSolve is the perf-regression anchor for the allocation-free

@@ -7,15 +7,17 @@
 //
 //	L[i] x[i-1] + D[i] x[i] + U[i] x[i+1] = b[i],  i = 0..N-1
 //
-// Four solvers share the Solver interface:
+// Five solvers share the Solver interface:
 //
 //   - NewThomas: sequential block LU (the serial work-optimal baseline)
-//   - NewBCR: block cyclic reduction
 //   - NewRD: classic recursive doubling over a rank communicator
 //   - NewARD: the paper's accelerated recursive doubling, which factors
 //     the matrix-dependent prefix computation once and then solves each
 //     right-hand side with only O(M^2 (N/P + log P)) work — an O(R)
 //     improvement when R right-hand sides share one matrix.
+//   - NewSpike: the SPIKE partition method, the numerically stable
+//     parallel baseline with the same factor/solve split
+//   - NewDense: dense LU, the reference for tests
 //
 // Quick start:
 //
@@ -31,7 +33,7 @@
 // strongly anisotropic diffusion, the Oscillatory family) and lose digits
 // exponentially on matrices whose recurrence modes grow — e.g. strongly
 // diagonally dominant systems such as an isotropic Laplacian; use Thomas
-// or BCR there. Check PrefixGrowth after a solve: error is roughly
+// or SPIKE there. Check PrefixGrowth after a solve: error is roughly
 // PrefixGrowth times machine epsilon.
 //
 // The heavy lifting lives in the internal packages (internal/mat dense
@@ -77,12 +79,10 @@ type Config = core.Config
 // SolveStats reports the cost of a solver's last operation.
 type SolveStats = core.SolveStats
 
-// Thomas, BCR, RD, ARD and Dense are the concrete solver types.
+// Thomas, RD, ARD, Spike and Dense are the concrete solver types.
 type (
 	// Thomas is the sequential block Thomas solver.
 	Thomas = core.Thomas
-	// BCR is sequential block cyclic reduction.
-	BCR = core.BCR
 	// RD is classic recursive doubling.
 	RD = core.RD
 	// ARD is accelerated recursive doubling (the paper's contribution).
@@ -90,9 +90,6 @@ type (
 	// Spike is the SPIKE partition method: the numerically stable
 	// factor/solve-split parallel baseline.
 	Spike = core.Spike
-	// PCR is distributed parallel cyclic reduction: stable, O(log N)
-	// span, O(M^3 N log N) work.
-	PCR = core.PCR
 	// Dense is the dense-LU reference solver.
 	Dense = core.Dense
 )
@@ -130,9 +127,6 @@ func New(n, m int) *Matrix { return iblocktri.New(n, m) }
 // NewThomas returns the sequential block Thomas solver for a.
 func NewThomas(a *Matrix) *Thomas { return core.NewThomas(a) }
 
-// NewBCR returns the block cyclic reduction solver for a.
-func NewBCR(a *Matrix) *BCR { return core.NewBCR(a) }
-
 // NewRD returns the classic recursive doubling solver for a.
 func NewRD(a *Matrix, cfg Config) *RD { return core.NewRD(a, cfg) }
 
@@ -141,9 +135,6 @@ func NewARD(a *Matrix, cfg Config) *ARD { return core.NewARD(a, cfg) }
 
 // NewSpike returns the SPIKE partition solver for a (requires N >= 2P).
 func NewSpike(a *Matrix, cfg Config) *Spike { return core.NewSpike(a, cfg) }
-
-// NewPCR returns the distributed parallel cyclic reduction solver for a.
-func NewPCR(a *Matrix, cfg Config) *PCR { return core.NewPCR(a, cfg) }
 
 // Auto selects a solver automatically using the PrefixGrowth diagnostic.
 type Auto = core.Auto

@@ -41,7 +41,6 @@
 //
 //	blocktri-lint ./...             # lint the whole module (the default)
 //	blocktri-lint -floateq=false ./...
-//	blocktri-lint -only commshape ./...
 //	blocktri-lint -analyzers goleak,lockorder,ctxflow ./...
 //	blocktri-lint -interprocedural=false ./...
 //	blocktri-lint -format json -stats ./...
@@ -88,8 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, a := range analyzers {
 		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer ("+a.Doc+")")
 	}
-	only := fs.String("only", "", "comma-separated list of analyzers to run (overrides the per-analyzer flags)")
-	subset := fs.String("analyzers", "", "comma-separated subset of analyzers to run, e.g. -analyzers goleak,lockorder,ctxflow (same semantics as -only)")
+	subset := fs.String("analyzers", "", "comma-separated subset of analyzers to run, e.g. -analyzers goleak,lockorder,ctxflow (overrides the per-analyzer flags)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	format := fs.String("format", "text", "comma-separated output formats: text, json, sarif")
 	sarifOut := fs.String("sarif-out", "", "write the SARIF report to this file instead of stdout (required when sarif is combined with another format)")
@@ -147,13 +145,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *only != "" && *subset != "" {
-		fmt.Fprintln(stderr, "blocktri-lint: -analyzers and -only are the same selector; pass only one")
-		return 2
-	}
-	if pick := *only + *subset; pick != "" {
+	if *subset != "" {
 		selected := make(map[string]bool)
-		for _, name := range strings.Split(pick, ",") {
+		for _, name := range strings.Split(*subset, ",") {
 			name = strings.TrimSpace(name)
 			if _, ok := enabled[name]; !ok {
 				fmt.Fprintf(stderr, "blocktri-lint: unknown analyzer %q (use -list)\n", name)

@@ -261,7 +261,7 @@ func TestSARIFFormat(t *testing.T) {
 
 // TestAnalyzersFlagSubset runs only the concurrency trio via -analyzers and
 // expects a clean exit: the repo's goleak/ctxflow findings are suppressed in
-// place, and the selector must wire the names through exactly like -only.
+// place, and the selector must wire the names through.
 func TestAnalyzersFlagSubset(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-analyzers", "goleak,lockorder,ctxflow", "./..."}, &stdout, &stderr)
@@ -281,18 +281,6 @@ func TestAnalyzersFlagUnknownName(t *testing.T) {
 		t.Fatalf("expected exit 2 for unknown analyzer, got %d", code)
 	}
 	if !strings.Contains(stderr.String(), `unknown analyzer "nope" (use -list)`) {
-		t.Fatalf("stderr missing diagnostic: %s", stderr.String())
-	}
-}
-
-// TestAnalyzersFlagConflictsWithOnly: the two selectors are aliases; passing
-// both is ambiguous and rejected.
-func TestAnalyzersFlagConflictsWithOnly(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-only", "floateq", "-analyzers", "goleak", "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("expected exit 2 when both selectors are given, got %d", code)
-	}
-	if !strings.Contains(stderr.String(), "pass only one") {
 		t.Fatalf("stderr missing diagnostic: %s", stderr.String())
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 	scaling := harness.NewTable(
 		fmt.Sprintf("Predicted per-solve critical path (N=%d M=%d R=%d, %.3g flop/s, alpha=%.1es beta=%.1es/B)",
 			*n, *m, *r, *rate, *alpha, *beta),
-		"P", "Thomas(P=1)", "RD", "ARD factor", "ARD solve", "SPIKE factor", "SPIKE solve", "PCR factor", "PCR solve", "RD scan KiB")
+		"P", "Thomas(P=1)", "RD", "ARD factor", "ARD solve", "SPIKE factor", "SPIKE solve", "RD scan KiB")
 	for _, p := range pList {
 		prm := costmodel.Params{N: *n, M: *m, P: p, R: *r}
 		thomas := machine.Time(costmodel.Cost{
@@ -65,9 +65,6 @@ func main() {
 		} else {
 			row = append(row, "n/a", "n/a")
 		}
-		row = append(row,
-			dur(machine.Time(costmodel.PCRFactor(prm))),
-			dur(machine.Time(costmodel.PCRSolve(prm))))
 		row = append(row, rd.ScanWords*8/1024)
 		scaling.AddRow(row...)
 	}

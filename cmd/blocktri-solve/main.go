@@ -29,7 +29,7 @@ func main() {
 	p := flag.Int("p", 4, "number of ranks")
 	r := flag.Int("r", 1, "right-hand-side columns")
 	seed := flag.Int64("seed", 1, "generator seed")
-	solverName := flag.String("solver", "ard", "solver: dense | thomas | bcr | rd | ard | spike | pcr | auto")
+	solverName := flag.String("solver", "ard", "solver: dense | thomas | rd | ard | spike | auto")
 	in := flag.String("in", "", "read the matrix from this file instead of generating")
 	save := flag.String("save", "", "write the generated matrix to this file and exit")
 	solves := flag.Int("solves", 1, "number of sequential solves with fresh right-hand sides")
@@ -159,16 +159,12 @@ func buildSolver(name string, a *blocktri.Matrix, p int) (core.Solver, error) {
 		return core.NewDense(a), nil
 	case "thomas":
 		return core.NewThomas(a), nil
-	case "bcr":
-		return core.NewBCR(a), nil
 	case "rd":
 		return core.NewRD(a, cfg), nil
 	case "ard":
 		return core.NewARD(a, cfg), nil
 	case "spike":
 		return core.NewSpike(a, cfg), nil
-	case "pcr":
-		return core.NewPCR(a, cfg), nil
 	case "auto":
 		return core.NewAuto(a, cfg, core.AutoOptions{}), nil
 	default:

@@ -50,11 +50,9 @@ func main() {
 			var rdX *mat.Matrix
 			solvers := []core.Solver{
 				core.NewThomas(a),
-				core.NewBCR(a),
 				core.NewRD(a, core.Config{World: comm.NewWorld(p)}),
 				core.NewARD(a, core.Config{World: comm.NewWorld(p)}),
 			}
-			solvers = append(solvers, core.NewPCR(a, core.Config{World: comm.NewWorld(p)}))
 			solvers = append(solvers, core.NewAuto(a, core.Config{World: comm.NewWorld(p)}, core.AutoOptions{}))
 			if n >= 2*p {
 				solvers = append(solvers, core.NewSpike(a, core.Config{World: comm.NewWorld(p)}))

@@ -47,8 +47,6 @@ func TestFacadeAllSolversInterchangeable(t *testing.T) {
 	}
 	solvers := []blocktri.Solver{
 		blocktri.NewThomas(a),
-		blocktri.NewBCR(a),
-		blocktri.NewPCR(a, blocktri.Config{World: blocktri.NewWorld(3)}),
 		blocktri.NewSpike(a, blocktri.Config{World: blocktri.NewWorld(2)}),
 		blocktri.NewAuto(a, blocktri.Config{World: blocktri.NewWorld(2)}, blocktri.AutoOptions{}),
 	}

@@ -15,9 +15,9 @@ import (
 // declarations. The AVX-512 GEMM micro-kernel is the hottest code in the
 // repository and the one place the type checker cannot follow: a frame-size
 // typo, an FP offset drifting after a signature change, a missing
-// VZEROUPPER (AVX/SSE transition stalls in every later sqrt of the
-// Cholesky factor), or a clobbered callee-saved register all assemble and
-// link fine and then corrupt results or performance at runtime.
+// VZEROUPPER (AVX/SSE transition stalls in every later SSE instruction),
+// or a clobbered callee-saved register all assemble and link fine and then
+// corrupt results or performance at runtime.
 //
 // For every TEXT block in a package's .s files, asmcheck checks:
 //

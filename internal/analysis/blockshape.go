@@ -34,7 +34,7 @@ var blockShapeAnalyzer = &Analyzer{
 	Name:     "blockshape",
 	Doc:      "mat call sites must be shape-conformant under symbolic block dimensions",
 	Severity: SeverityError,
-	Version:  2,
+	Version:  3,
 	Run:      runBlockShape,
 }
 
@@ -44,7 +44,7 @@ const (
 	lvInt  locVarKind = iota // the value of an int variable
 	lvRows                   // the row count of a matrix variable
 	lvCols                   // the column count of a matrix variable
-	lvN                      // the order of an LU/Cholesky variable
+	lvN                      // the order of an LU variable
 )
 
 // locVar is one symbolic variable of a blockshape term, rooted in a local
@@ -367,7 +367,7 @@ func (bs *bsEval) evalCallResult0(env shapeEnv, call *ast.CallExpr, depth int) a
 
 func isFactorization(t types.Type) bool {
 	p, n := namedFrom(t)
-	return p == matPkgPath && (n == "LU" || n == "Cholesky")
+	return p == matPkgPath && n == "LU"
 }
 
 func isPackedA(t types.Type) bool {
@@ -564,12 +564,9 @@ func (bs *bsEval) evalMatCall(env shapeEnv, call *ast.CallExpr, depth int) absVa
 			return mk(constTerm[locVar](1), recvMat().cols)
 		case recvName == "Matrix" && f.Name() == "Col":
 			return mk(recvMat().rows, constTerm[locVar](1))
-		case (recvName == "LU" || recvName == "Cholesky") && f.Name() == "Solve":
+		case recvName == "LU" && f.Name() == "Solve":
 			return mk(recvN(), argMat(0).cols)
 		case recvName == "LU" && f.Name() == "Inverse":
-			n := recvN()
-			return mk(n, n)
-		case recvName == "Cholesky" && f.Name() == "L":
 			n := recvN()
 			return mk(n, n)
 		}
@@ -670,7 +667,7 @@ func (bs *bsEval) evalPack(env shapeEnv, e ast.Expr, depth int) absVal {
 	return absVal{}
 }
 
-// evalFac evaluates an LU/Cholesky expression to its symbolic order.
+// evalFac evaluates an LU expression to its symbolic order.
 func (bs *bsEval) evalFac(env shapeEnv, e ast.Expr, depth int) locTerm {
 	if depth > bsEvalDepth {
 		return locTerm{}
@@ -699,7 +696,7 @@ func (bs *bsEval) evalFac(env shapeEnv, e ast.Expr, depth int) locTerm {
 			recvName = named.Obj().Name()
 		}
 		switch {
-		case recvName == "" && (f.Name() == "Factor" || f.Name() == "FactorInPlace" || f.Name() == "FactorCholesky"),
+		case recvName == "" && (f.Name() == "Factor" || f.Name() == "FactorInPlace"),
 			recvName == "Workspace" && f.Name() == "LU":
 			return bs.evalMat(env, x.Args[0], depth+1).rows
 		}
@@ -801,7 +798,7 @@ func (bs *bsEval) checkCall(env shapeEnv, call *ast.CallExpr) {
 				square("a", argMat(0))
 				cmp("a.Rows", argMat(0).rows, "b.Rows", argMat(1).rows)
 			}
-		case "Factor", "FactorInPlace", "FactorCholesky", "Inverse":
+		case "Factor", "FactorInPlace", "Inverse":
 			if len(call.Args) == 1 {
 				square("a", argMat(0))
 			}
@@ -814,7 +811,7 @@ func (bs *bsEval) checkCall(env shapeEnv, call *ast.CallExpr) {
 		if x := recvExpr(); x != nil && len(call.Args) == 1 {
 			sameShape("dst", bs.evalMat(env, x, 0), "src", argMat(0))
 		}
-	case recvName == "LU" || recvName == "Cholesky":
+	case recvName == "LU":
 		x := recvExpr()
 		if x == nil {
 			return

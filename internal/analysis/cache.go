@@ -47,7 +47,11 @@ import (
 // v4: package keys cover assembly files, the run configuration covers
 // GOARCH, and the directory gains a module-wide compiler-fact entry
 // (factsEntry) keyed on toolchain version + GOARCH + flags + tree hash.
-const cacheSchemaVersion = 4
+//
+// v5: the facts entry drops the configuration prefix from its filename, so
+// runs with different analyzer sets share one table; v4's prefixed fact
+// files are swept.
+const cacheSchemaVersion = 5
 
 // DefaultCacheDir returns the default persistent cache location for a
 // module root: <root>/.blocktri-lint-cache.
@@ -115,11 +119,12 @@ type cachedInl struct {
 	Reason    string `json:"reason,omitempty"`
 }
 
-// factsFileName is the facts entry's name under the current configuration
-// prefix, so different configurations' fact tables coexist like their
-// package entries do.
+// factsFileName is the facts entry's name. It carries no configuration
+// prefix: the table is keyed on its own terms (toolchain, GOARCH, flags,
+// tree hash), none of which depend on the enabled analyzer set, so a run
+// that needs only perfescape seeds the table a full-suite run replays.
 func (c *cache) factsFileName() string {
-	return c.config[:12] + "-facts.json"
+	return "facts.json"
 }
 
 // loadFacts reads and validates the facts entry against the current
@@ -348,7 +353,9 @@ func (c *cache) store(e *cacheEntry) error {
 // sweep evicts stale files after a run: entries of the current
 // configuration whose filename is not in the expected set (packages that
 // were deleted or renamed), entries of any configuration written under an
-// older schema, and orphaned temp files. It returns the eviction count.
+// older schema, and orphaned temp files. Expected files are kept unread,
+// so the facts table is not parsed on runs that never request it. It
+// returns the eviction count.
 func (c *cache) sweep(expected map[string]bool) int {
 	dirEntries, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -364,12 +371,10 @@ func (c *cache) sweep(expected map[string]bool) int {
 		switch {
 		case strings.HasPrefix(name, ".tmp-"):
 			// A crashed writer's leftover.
-		case !strings.HasSuffix(name, ".json"):
+		case !strings.HasSuffix(name, ".json"), expected[name]:
 			continue
 		case strings.HasPrefix(name, prefix):
-			if expected[name] {
-				continue
-			}
+			// This configuration's entry for a package that is gone.
 		default:
 			// Another configuration's entry: keep it unless it was written
 			// under an older schema (those can never hit again).

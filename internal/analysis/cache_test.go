@@ -374,10 +374,34 @@ func TestCacheFactsLifecycle(t *testing.T) {
 	}
 }
 
+// TestCacheFactsSharedAcrossAnalyzerSets pins that the facts table is not
+// keyed on the enabled analyzer set: a perfescape-only run seeds it, and a
+// following full-suite run over the same cache directory replays it from
+// disk instead of invoking the toolchain again.
+func TestCacheFactsSharedAcrossAnalyzerSets(t *testing.T) {
+	root := writeFixtureModule(t, factsFixtureFiles)
+	dir := DefaultCacheDir(root)
+	var only []*Analyzer
+	for _, a := range Analyzers() {
+		if a.Name == "perfescape" {
+			only = append(only, a)
+		}
+	}
+	seed := mustRunLint(t, root, RunOptions{Analyzers: only, CacheDir: dir})
+	if seed.Cache.FactsMisses != 1 || seed.Cache.FactsHits != 0 {
+		t.Fatalf("perfescape-only run facts counters: %+v (want one toolchain run)", seed.Cache)
+	}
+	full := mustRunLint(t, root, fixtureRunOptions(dir))
+	if full.Cache.FactsHits != 1 || full.Cache.FactsMisses != 0 {
+		t.Fatalf("full-suite run after a perfescape-only run: %+v (want the facts replayed from disk)", full.Cache)
+	}
+}
+
 // TestCacheFactsRelativeVersionEviction mirrors the package-entry upgrade
 // story for the facts table: an entry recorded under a different toolchain
 // version, GOARCH or schema never hits (the toolchain reruns), and a facts
-// file under another configuration's name is swept as dead weight.
+// file written under an older schema's prefixed name is swept as dead
+// weight.
 func TestCacheFactsRelativeVersionEviction(t *testing.T) {
 	mutations := []struct {
 		name   string
@@ -412,8 +436,8 @@ func TestCacheFactsRelativeVersionEviction(t *testing.T) {
 		})
 	}
 
-	// A facts file under another configuration's filename is never expected
-	// by this configuration's sweep and must be evicted.
+	// An older schema's configuration-prefixed facts file is never expected
+	// by the sweep and must be evicted.
 	root := writeFixtureModule(t, factsFixtureFiles)
 	opts := fixtureRunOptions(DefaultCacheDir(root))
 	mustRunLint(t, root, opts)

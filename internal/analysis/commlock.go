@@ -16,30 +16,27 @@ import (
 //
 // The check is intra-procedural and statement-ordered: Lock()/RLock() adds
 // the receiver expression to the held set, Unlock()/RUnlock() removes it,
-// and "defer mu.Unlock()" keeps it held until function exit. Nominally
-// non-blocking posts (ISend, IRecv) are exempt; Send is treated as blocking
-// even though this in-process runtime buffers unboundedly, because the
-// invariant must stay true under MPI rendezvous semantics, which the comm
-// package exists to model.
+// and "defer mu.Unlock()" keeps it held until function exit. Send is
+// treated as blocking even though this in-process runtime buffers
+// unboundedly, because the invariant must stay true under MPI rendezvous
+// semantics, which the comm package exists to model.
 var commLockAnalyzer = &Analyzer{
 	Name:     "commlock",
 	Doc:      "flag blocking comm operations while a locally acquired mutex is held",
 	Severity: SeverityError,
-	Version:  2,
+	Version:  3,
 	Run:      runCommLock,
 }
 
 const commPkgPath = "blocktri/internal/comm"
 
-// blockingCommOps are the comm.Comm / comm.Request methods (and package
-// functions) that require matching progress on another rank.
+// blockingCommOps are the comm.Comm methods that require matching progress
+// on another rank.
 var blockingCommOps = map[string]bool{
 	"Send": true, "SendOwned": true, "Recv": true, "SendRecv": true, "Exchange": true,
-	"Barrier": true, "Bcast": true, "Reduce": true, "Allreduce": true,
-	"Gather": true, "Allgather": true, "ExScan": true, "Scan": true,
-	"Alltoall": true, "ReduceScatter": true, "Scatter": true,
+	"Barrier": true, "Bcast": true, "Allreduce": true, "Gather": true,
 	"SendMatrix": true, "RecvMatrix": true, "ExchangeMatrices": true,
-	"BcastMatrix": true, "Wait": true, "WaitAll": true,
+	"BcastMatrix": true,
 }
 
 func runCommLock(m *Module) []Finding {

@@ -33,7 +33,7 @@ var commShapeAnalyzer = &Analyzer{
 	Name:     "commshape",
 	Doc:      "Send(r±e, tag) inside a rank body must have a matching Recv(r∓e, tag); self-sends are flagged",
 	Severity: SeverityError,
-	Version:  2,
+	Version:  3,
 	Run:      runCommShape,
 }
 
@@ -129,9 +129,9 @@ func commShapeFunc(rep *reporter, m *Module, info *types.Info, body *ast.BlockSt
 			return true
 		}
 		switch commMethod(info, call) {
-		case "Send", "SendOwned", "ISend", "SendMatrix":
+		case "Send", "SendOwned", "SendMatrix":
 			addSite(call, shapeSend, call.Args[0], call.Args[1])
-		case "Recv", "IRecv", "RecvMatrix":
+		case "Recv", "RecvMatrix":
 			addSite(call, shapeRecv, call.Args[0], call.Args[1])
 		case "SendRecv":
 			if types.ExprString(call.Args[0]) == types.ExprString(call.Args[2]) {

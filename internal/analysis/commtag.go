@@ -31,7 +31,7 @@ var commTagAnalyzer = &Analyzer{
 	Name:     "commtag",
 	Doc:      "cross-check constant message tags between send and receive sides",
 	Severity: SeverityWarning,
-	Version:  3,
+	Version:  4,
 	Run:      runCommTag,
 }
 
@@ -47,10 +47,8 @@ type tagOp struct {
 var tagOps = map[string]tagOp{
 	"Send":             {index: 1, send: true},
 	"SendOwned":        {index: 1, send: true},
-	"ISend":            {index: 1, send: true},
 	"SendMatrix":       {index: 1, send: true},
 	"Recv":             {index: 1, recv: true},
-	"IRecv":            {index: 1, recv: true},
 	"RecvMatrix":       {index: 1, recv: true},
 	"SendRecv":         {index: 3, send: true, recv: true},
 	"Exchange":         {index: 1, send: true, recv: true},

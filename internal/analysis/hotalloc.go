@@ -81,7 +81,7 @@ func runHotAlloc(m *Module) []Finding {
 
 // isSolvePhaseName reports whether a function name marks solve-phase code:
 // it contains "solve" in any casing (Solve, SolveTo, solveRank,
-// rdSolveRank, bcrSolveLevel, ...).
+// rdSolveRank, ...).
 func isSolvePhaseName(name string) bool {
 	return strings.Contains(strings.ToLower(name), "solve")
 }

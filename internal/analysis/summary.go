@@ -1100,10 +1100,8 @@ type p2pArgSpec struct {
 var p2pSpecs = map[string]p2pArgSpec{
 	"Send":       {send: true, rankIdx: 0, tagIdx: 1},
 	"SendOwned":  {send: true, rankIdx: 0, tagIdx: 1},
-	"ISend":      {send: true, rankIdx: 0, tagIdx: 1},
 	"SendMatrix": {send: true, rankIdx: 0, tagIdx: 1},
 	"Recv":       {send: false, rankIdx: 0, tagIdx: 1},
-	"IRecv":      {send: false, rankIdx: 0, tagIdx: 1},
 	"RecvMatrix": {send: false, rankIdx: 0, tagIdx: 1},
 }
 

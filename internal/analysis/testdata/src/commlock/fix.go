@@ -34,7 +34,7 @@ func readLocked(c *comm.Comm, data []float64) []float64 {
 
 func nonblockingOK(c *comm.Comm, s *state) {
 	s.mu.Lock()
-	c.ISend(1, 7, s.data) // ok: ISend posts without blocking
+	c.Release(s.data) // ok: Release does not wait on another rank
 	s.mu.Unlock()
 }
 

@@ -26,7 +26,7 @@ import (
 )
 
 // SolverNames lists the solvers a chaos run covers, in run order.
-var SolverNames = []string{"thomas", "rd", "ard", "pcr", "bcr", "spike"}
+var SolverNames = []string{"thomas", "rd", "ard", "spike"}
 
 // Options configures a chaos run. The zero value is not useful; use
 // DefaultOptions as the base.
@@ -186,7 +186,7 @@ func shortResilience() comm.Resilience {
 }
 
 // newSolver builds the named solver. Distributed solvers get the faulty
-// world; thomas and bcr are sequential and exercise the invariant without
+// world; thomas is sequential and exercises the invariant without
 // injection.
 func newSolver(name string, a *blocktri.Matrix, w *comm.World) core.Solver {
 	cfg := core.Config{World: w}
@@ -197,10 +197,6 @@ func newSolver(name string, a *blocktri.Matrix, w *comm.World) core.Solver {
 		return core.NewRD(a, cfg)
 	case "ard":
 		return core.NewARD(a, cfg)
-	case "pcr":
-		return core.NewPCR(a, cfg)
-	case "bcr":
-		return core.NewBCR(a)
 	case "spike":
 		return core.NewSpike(a, cfg)
 	}

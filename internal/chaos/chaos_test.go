@@ -37,12 +37,12 @@ func TestInvariantSmoke(t *testing.T) {
 }
 
 // TestDeterministicReplay: the same seed must draw the same plans and
-// classify sequential solvers (whose trials involve no scheduling races)
+// classify the sequential solver (whose trials involve no scheduling races)
 // identically.
 func TestDeterministicReplay(t *testing.T) {
 	opts := DefaultOptions(7)
 	opts.Plans = 6
-	opts.Solvers = []string{"thomas", "bcr"}
+	opts.Solvers = []string{"thomas"}
 	a := Run(opts)
 	b := Run(opts)
 	if len(a.Trials) != len(b.Trials) {
@@ -80,7 +80,7 @@ func TestStallPlanResolves(t *testing.T) {
 		fault: comm.FaultPlan{Seed: 5, StallRank: 0, StallAtOp: 3}}
 	a, b := trialSystem(t, pl)
 	done := make(chan Trial, 1)
-	go func() { done <- runTrial(0, "pcr", pl, a, b, 1e-8) }()
+	go func() { done <- runTrial(0, "spike", pl, a, b, 1e-8) }()
 	select {
 	case tr := <-done:
 		if tr.Outcome != TypedError {

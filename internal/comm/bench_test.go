@@ -42,21 +42,6 @@ func BenchmarkAllreduce(b *testing.B) {
 	}
 }
 
-func BenchmarkExScan(b *testing.B) {
-	for _, p := range []int{4, 16} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			w := NewWorld(p)
-			payload := make([]float64, 256)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w.Run(func(c *Comm) {
-					c.ExScan(payload, OpSum)
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkMailboxWakeups measures mailbox contention: rank 0 parks on one
 // (source, tag) queue while a flood of messages lands on its other queues.
 // With the per-queue condition variables a put wakes only a receiver

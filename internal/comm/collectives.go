@@ -10,8 +10,6 @@ const (
 	tagBcast
 	tagReduce
 	tagGather
-	tagAllgather
-	tagScan
 )
 
 // ReduceOp combines src into dst elementwise; it must be associative over
@@ -29,15 +27,6 @@ func OpSum(dst, src []float64) {
 func OpMax(dst, src []float64) {
 	for i, v := range src {
 		if v > dst[i] {
-			dst[i] = v
-		}
-	}
-}
-
-// OpMin is elementwise minimum.
-func OpMin(dst, src []float64) {
-	for i, v := range src {
-		if v < dst[i] {
 			dst[i] = v
 		}
 	}
@@ -84,13 +73,14 @@ func (c *Comm) Bcast(root int, data []float64) []float64 {
 	return data
 }
 
-// Reduce combines every rank's data with op along a binomial tree and
-// returns the result at root (nil elsewhere). The reduction order is
-// deterministic for a given P. data is not modified.
-func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
+// reduce combines every rank's data with op along a binomial tree and
+// returns the result at root (nil elsewhere): Allreduce's path for worlds
+// whose size is not a power of two. The reduction order is deterministic
+// for a given P. data is not modified.
+func (c *Comm) reduce(root int, data []float64, op ReduceOp) []float64 {
 	p := c.Size()
 	if root < 0 || root >= p {
-		c.throwf(ErrInvalidRank, "comm: Reduce root %d (P=%d)", root, p)
+		c.throwf(ErrInvalidRank, "comm: reduce root %d (P=%d)", root, p)
 	}
 	acc := make([]float64, len(data))
 	copy(acc, data)
@@ -106,7 +96,7 @@ func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
 			src := (partner + root) % p
 			recv := c.Recv(src, tagReduce)
 			if len(recv) != len(acc) {
-				c.throwf(ErrLengthMismatch, "comm: Reduce got %d floats from rank %d, want %d", len(recv), src, len(acc))
+				c.throwf(ErrLengthMismatch, "comm: reduce got %d floats from rank %d, want %d", len(recv), src, len(acc))
 			}
 			op(acc, recv)
 		}
@@ -117,7 +107,7 @@ func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
 // Allreduce combines every rank's data with op and returns the result on
 // all ranks. For power-of-two worlds it uses the recursive doubling
 // exchange pattern (log2 P rounds of pairwise exchanges); otherwise it
-// falls back to Reduce-then-Bcast. Both paths combine contributions in
+// falls back to reduce-then-Bcast. Both paths combine contributions in
 // ascending rank order, so merely-associative (non-commutative) ops are
 // safe and all ranks obtain bit-identical results.
 func (c *Comm) Allreduce(data []float64, op ReduceOp) []float64 {
@@ -143,7 +133,7 @@ func (c *Comm) Allreduce(data []float64, op ReduceOp) []float64 {
 		}
 		return acc
 	}
-	res := c.Reduce(0, data, op)
+	res := c.reduce(0, data, op)
 	return c.Bcast(0, res)
 }
 
@@ -165,87 +155,4 @@ func (c *Comm) Gather(root int, data []float64) [][]float64 {
 		out[r] = c.Recv(r, tagGather)
 	}
 	return out
-}
-
-// Allgather collects every rank's data on all ranks in rank order using a
-// ring: P-1 steps, each forwarding the block received in the previous
-// step. Payload lengths may differ between ranks.
-func (c *Comm) Allgather(data []float64) [][]float64 {
-	p := c.Size()
-	out := make([][]float64, p)
-	out[c.rank] = data
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	cur := data
-	for step := 0; step < p-1; step++ {
-		c.Send(next, tagAllgather, cur)
-		cur = c.Recv(prev, tagAllgather)
-		owner := (c.rank - step - 1 + p*(step+2)) % p
-		out[owner] = cur
-	}
-	return out
-}
-
-// ExScan computes the exclusive prefix reduction: rank r receives
-// op(data_0, ..., data_{r-1}). Rank 0's result is nil (no prefix). The
-// implementation is the Kogge-Stone recursive doubling scan, log2 P
-// rounds. op must be associative; the combine order is always
-// lower-rank-first, so non-commutative ops are safe.
-func (c *Comm) ExScan(data []float64, op ReduceOp) []float64 {
-	p := c.Size()
-	// acc = inclusive prefix over the ranks seen so far; pre = exclusive.
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	var pre []float64
-	for dist := 1; dist < p; dist <<= 1 {
-		if c.rank+dist < p {
-			c.Send(c.rank+dist, tagScan, acc)
-		}
-		if c.rank-dist >= 0 {
-			recv := c.Recv(c.rank-dist, tagScan)
-			if len(recv) != len(acc) {
-				c.throwf(ErrLengthMismatch, "comm: ExScan got %d floats from rank %d, want %d", len(recv), c.rank-dist, len(acc))
-			}
-			if pre == nil {
-				pre = make([]float64, len(recv))
-				copy(pre, recv)
-			} else {
-				// recv covers strictly earlier ranks than pre does.
-				merged := make([]float64, len(recv))
-				copy(merged, recv)
-				op(merged, pre)
-				pre = merged
-			}
-			merged := make([]float64, len(recv))
-			copy(merged, recv)
-			op(merged, acc)
-			acc = merged
-		}
-	}
-	return pre
-}
-
-// Scan computes the inclusive prefix reduction: rank r receives
-// op(data_0, ..., data_r). Same schedule and ordering guarantees as
-// ExScan.
-func (c *Comm) Scan(data []float64, op ReduceOp) []float64 {
-	p := c.Size()
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	for dist := 1; dist < p; dist <<= 1 {
-		if c.rank+dist < p {
-			c.Send(c.rank+dist, tagScan, acc)
-		}
-		if c.rank-dist >= 0 {
-			recv := c.Recv(c.rank-dist, tagScan)
-			if len(recv) != len(acc) {
-				c.throwf(ErrLengthMismatch, "comm: Scan got %d floats from rank %d, want %d", len(recv), c.rank-dist, len(acc))
-			}
-			merged := make([]float64, len(recv))
-			copy(merged, recv)
-			op(merged, acc)
-			acc = merged
-		}
-	}
-	return acc
 }

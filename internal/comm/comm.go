@@ -2,8 +2,7 @@
 // in for MPI in the paper's experiments: a World of P ranks, each executed
 // on its own goroutine, exchanging typed messages through matched
 // send/receive pairs, plus the collective operations the solvers need
-// (barrier, broadcast, reduce, allreduce, gather, allgather, exclusive
-// scan).
+// (barrier, broadcast, allreduce, gather).
 //
 // Every rank accumulates communication statistics (message and byte counts)
 // and a simulated communication time under a configurable alpha-beta
@@ -622,6 +621,7 @@ func (w *World) Run(body func(c *Comm)) error {
 // context before ARD.Factor/SolveTo and clears it after, so cancellation
 // propagates into every nested Run without changing solver signatures. It
 // must be called while no Run is active.
+//
 //lint:ignore ctxflow storing the ctx is this API's documented purpose: it scopes the next Run and is cleared by the caller afterwards.
 func (w *World) SetRunContext(ctx context.Context) { w.runCtx = ctx }
 
@@ -889,7 +889,7 @@ func (c *Comm) Recv(src, tag int) []float64 {
 // garbage collected — but mandatory discipline applies when it is used:
 // only Recv-returned slices may be released, at most once, and never while
 // anything still references them (in particular, never release the root's
-// own slice from Gather/Allgather results, which is the caller's data, and
+// own slice from Gather results, which is the caller's data, and
 // never release a buffer that a decode returned a view of).
 func (c *Comm) Release(buf []float64) {
 	c.world.pool.put(buf)

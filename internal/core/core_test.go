@@ -44,9 +44,16 @@ func TestAllSolversAgreeWithDense(t *testing.T) {
 		cfg := Config{World: comm.NewWorld(tc.p)}
 		solvers := []Solver{
 			NewThomas(a),
-			NewBCR(a),
 			NewRD(a, cfg),
 			NewARD(a, Config{World: comm.NewWorld(tc.p)}),
+		}
+		// SPIKE partitions N block rows over P ranks and needs at least two
+		// per rank; outside that domain it must refuse with a typed error.
+		spike := NewSpike(a, Config{World: comm.NewWorld(tc.p)})
+		if tc.n >= 2*tc.p || tc.p == 1 {
+			solvers = append(solvers, spike)
+		} else if _, err := spike.Solve(b); !errors.Is(err, ErrChunkTooSmall) {
+			t.Fatalf("spike at N=%d P=%d: want ErrChunkTooSmall, got %v", tc.n, tc.p, err)
 		}
 		for _, s := range solvers {
 			x := requireAccurate(t, a, s, b)
@@ -70,7 +77,6 @@ func TestSolversOnPDEWorkloads(t *testing.T) {
 		ref := requireAccurate(t, a, NewDense(a), b)
 		for _, s := range []Solver{
 			NewThomas(a),
-			NewBCR(a),
 			NewRD(a, Config{World: comm.NewWorld(3)}),
 			NewARD(a, Config{World: comm.NewWorld(3)}),
 		} {
@@ -226,7 +232,7 @@ func TestSingleBlockRowSystems(t *testing.T) {
 	a := blocktri.RandomDiagDominant(1, 4, rng)
 	b := a.RandomRHS(3, rng)
 	for _, s := range []Solver{
-		NewDense(a), NewThomas(a), NewBCR(a),
+		NewDense(a), NewThomas(a), NewSpike(a, Config{}),
 		NewRD(a, Config{}), NewARD(a, Config{}),
 	} {
 		requireAccurate(t, a, s, b)
@@ -238,7 +244,7 @@ func TestRHSShapeErrors(t *testing.T) {
 	a := blocktri.RandomDiagDominant(4, 2, rng)
 	bad := mat.New(7, 1) // 7 != 8
 	for _, s := range []Solver{
-		NewDense(a), NewThomas(a), NewBCR(a),
+		NewDense(a), NewThomas(a), NewSpike(a, Config{}),
 		NewRD(a, Config{}), NewARD(a, Config{}),
 	} {
 		if _, err := s.Solve(bad); !errors.Is(err, ErrShape) {
@@ -274,15 +280,6 @@ func TestThomasFactorSplit(t *testing.T) {
 	requireAccurate(t, a, th, b2)
 }
 
-func TestBCRPowersAndNonPowersOfTwo(t *testing.T) {
-	rng := rand.New(rand.NewSource(113))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31} {
-		a := blocktri.RandomDiagDominant(n, 2, rng)
-		b := a.RandomRHS(2, rng)
-		requireAccurate(t, a, NewBCR(a), b)
-	}
-}
-
 func TestRDStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(114))
 	a := blocktri.RandomDiagDominant(16, 3, rng)
@@ -310,7 +307,7 @@ func TestSolveDoesNotModifyInputs(t *testing.T) {
 	aCopy := a.Clone()
 	bCopy := b.Clone()
 	for _, s := range []Solver{
-		NewThomas(a), NewBCR(a),
+		NewThomas(a), NewSpike(a, Config{World: comm.NewWorld(3)}),
 		NewRD(a, Config{World: comm.NewWorld(3)}),
 		NewARD(a, Config{World: comm.NewWorld(3)}),
 	} {
@@ -400,7 +397,7 @@ func TestRDARDDenseProperty(t *testing.T) {
 	}
 }
 
-// Property: Thomas and BCR match dense for every generator family.
+// Property: Thomas matches dense on random diagonally dominant systems.
 func TestSequentialSolversProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -412,13 +409,8 @@ func TestSequentialSolversProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, s := range []Solver{NewThomas(a), NewBCR(a)} {
-			x, err := s.Solve(b)
-			if err != nil || !x.EqualApprox(ref, 1e-6) {
-				return false
-			}
-		}
-		return true
+		x, err := NewThomas(a).Solve(b)
+		return err == nil && x.EqualApprox(ref, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -63,15 +63,6 @@ func luSolveFlops(n, r int) int64 { return 2 * int64(n) * int64(n) * int64(r) }
 func gemmFlops(m, k, n int) int64 { return 2 * int64(m) * int64(k) * int64(n) }
 func addFlops(m, n int) int64     { return int64(m) * int64(n) }
 
-func ceilLog2(p int) int {
-	n, v := 0, 1
-	for v < p {
-		v <<= 1
-		n++
-	}
-	return n
-}
-
 // DenseFactor predicts the dense LU factor cost.
 func DenseFactor(p Params) Cost {
 	f := luFlops(p.N * p.M)
@@ -97,55 +88,6 @@ func ThomasFactor(p Params) Cost {
 func ThomasSolve(p Params) Cost {
 	f := int64(p.N) * luSolveFlops(p.M, p.R)
 	f += int64(p.N-1) * 2 * gemmFlops(p.M, p.M, p.R)
-	return Cost{Flops: f, MaxRankFlops: f}
-}
-
-// BCRSolve predicts the block cyclic reduction solve cost by walking the
-// level structure (L is absent only at the first position and U only at
-// the last, at every level — an invariant of the reduction).
-func BCRSolve(p Params) Cost {
-	var f int64
-	m, r := p.M, p.R
-	n := p.N
-	for n > 1 {
-		// Odd-row eliminations.
-		for j := 1; j < n; j += 2 {
-			f += luFlops(m) + luSolveFlops(m, m) + luSolveFlops(m, r) // D factor, invL, invB
-			if j != n-1 {
-				f += luSolveFlops(m, m) // invU
-			}
-		}
-		// Reduced-row assembly on even positions.
-		ne := (n + 1) / 2
-		for k := 0; k < ne; k++ {
-			j := 2 * k
-			if k >= 1 {
-				f += gemmFlops(m, m, m) // L_j invU_{j-1} into new D
-				f += gemmFlops(m, m, r) // L_j invB_{j-1}
-				f += gemmFlops(m, m, m) // new L
-			}
-			if j+1 < n {
-				if j+1 != n-1 {
-					f += gemmFlops(m, m, m) // U_j invL_{j+1}? (invL always present)
-				} else {
-					f += gemmFlops(m, m, m)
-				}
-				f += gemmFlops(m, m, r) // U_j invB_{j+1}
-				if j+1 != n-1 {
-					f += gemmFlops(m, m, m) // new U
-				}
-			}
-		}
-		// Back substitution for the odd rows.
-		for j := 1; j < n; j += 2 {
-			f += gemmFlops(m, m, r) // invL x_{j-1}
-			if j+1 < n {
-				f += gemmFlops(m, m, r) // invU x_{j+1}
-			}
-		}
-		n = ne
-	}
-	f += luFlops(m) + luSolveFlops(m, r) // final 1x1 block solve
 	return Cost{Flops: f, MaxRankFlops: f}
 }
 
@@ -437,57 +379,4 @@ func SpikeSolve(p Params) Cost {
 	}
 	perRank[0] += ThomasSolve(Params{N: p.P - 1, M: 2 * p.M, R: p.R}).Flops
 	return fold(perRank, 0, 0)
-}
-
-// PCRFactor predicts distributed parallel cyclic reduction's factor cost:
-// per level, every row inverts its diagonal and eliminates its couplings;
-// the nil-structure (L absent iff i < d, U absent iff i+d >= N at the
-// level with distance d) is deterministic, so the count is exact.
-func PCRFactor(p Params) Cost {
-	perRank := make([]int64, p.P)
-	m := p.M
-	for rank := 0; rank < p.P; rank++ {
-		lo, hi := core.PartRange(p.N, p.P, rank)
-		for d := 1; d < p.N; d <<= 1 {
-			for i := lo; i < hi; i++ {
-				perRank[rank] += luFlops(m) + luSolveFlops(m, m) // invD
-				if i >= d {
-					perRank[rank] += 2 * gemmFlops(m, m, m) // alpha, D update
-					if i >= 2*d {
-						perRank[rank] += gemmFlops(m, m, m) // new L
-					}
-				}
-				if i+d <= p.N-1 {
-					perRank[rank] += 2 * gemmFlops(m, m, m) // beta, D update
-					if i+2*d <= p.N-1 {
-						perRank[rank] += gemmFlops(m, m, m) // new U
-					}
-				}
-			}
-		}
-		perRank[rank] += int64(hi-lo) * luFlops(m) // final diagonals
-	}
-	return fold(perRank, 0, 2*ceilLog2(p.N))
-}
-
-// PCRSolve predicts the per-solve cost: two halo GEMMs per row per level
-// plus the final decoupled solves.
-func PCRSolve(p Params) Cost {
-	perRank := make([]int64, p.P)
-	m, r := p.M, p.R
-	for rank := 0; rank < p.P; rank++ {
-		lo, hi := core.PartRange(p.N, p.P, rank)
-		for d := 1; d < p.N; d <<= 1 {
-			for i := lo; i < hi; i++ {
-				if i >= d {
-					perRank[rank] += gemmFlops(m, m, r)
-				}
-				if i+d <= p.N-1 {
-					perRank[rank] += gemmFlops(m, m, r)
-				}
-			}
-		}
-		perRank[rank] += int64(hi-lo) * luSolveFlops(m, r)
-	}
-	return fold(perRank, 0, ceilLog2(p.N))
 }

@@ -34,21 +34,6 @@ func TestThomasModelMatchesMeasured(t *testing.T) {
 	}
 }
 
-func TestBCRModelMatchesMeasured(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, tc := range []Params{{N: 1, M: 2, R: 1}, {N: 2, M: 3, R: 2}, {N: 9, M: 2, R: 3}, {N: 16, M: 4, R: 1}, {N: 31, M: 3, R: 2}} {
-		a := blocktri.RandomDiagDominant(tc.N, tc.M, rng)
-		bcr := core.NewBCR(a)
-		b := a.RandomRHS(tc.R, rng)
-		if _, err := bcr.Solve(b); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := bcr.Stats().Flops, BCRSolve(tc).Flops; got != want {
-			t.Fatalf("N=%d M=%d R=%d: BCR flops measured %d model %d", tc.N, tc.M, tc.R, got, want)
-		}
-	}
-}
-
 func TestRDModelMatchesMeasured(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, tc := range []Params{
@@ -228,33 +213,6 @@ func TestSpikeModelMatchesMeasured(t *testing.T) {
 		}
 		if got, want := sp.Stats().Flops, SpikeSolve(tc).Flops; got != want {
 			t.Fatalf("%+v: spike solve flops measured %d model %d", tc, got, want)
-		}
-	}
-}
-
-func TestPCRModelMatchesMeasured(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, tc := range []Params{
-		{N: 1, M: 2, P: 1, R: 1}, {N: 8, M: 2, P: 2, R: 2}, {N: 13, M: 3, P: 4, R: 1},
-		{N: 16, M: 2, P: 5, R: 3}, {N: 31, M: 3, P: 3, R: 2}, {N: 3, M: 2, P: 8, R: 1},
-	} {
-		a := blocktri.RandomDiagDominant(tc.N, tc.M, rng)
-		pcr := core.NewPCR(a, core.Config{World: comm.NewWorld(tc.P)})
-		if err := pcr.Factor(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := pcr.FactorStats().Flops, PCRFactor(tc).Flops; got != want {
-			t.Fatalf("%+v: PCR factor flops measured %d model %d", tc, got, want)
-		}
-		if got, want := pcr.FactorStats().MaxRankFlops, PCRFactor(tc).MaxRankFlops; got != want {
-			t.Fatalf("%+v: PCR factor max-rank measured %d model %d", tc, got, want)
-		}
-		b := a.RandomRHS(tc.R, rng)
-		if _, err := pcr.Solve(b); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := pcr.Stats().Flops, PCRSolve(tc).Flops; got != want {
-			t.Fatalf("%+v: PCR solve flops measured %d model %d", tc, got, want)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func runE13(quick bool) ([]*Table, error) {
 
 	t := NewTable(fmt.Sprintf("E13: solver landscape (oscillatory N=%d M=%d P=%d, R=1)", n, m, p),
 		"solver", "factor", "per solve", "solve flops", "solve bytes", "stored", "residual")
-	t.Note = "Thomas and BCR run on one rank; RD has no factor phase (it repeats the matrix work every solve)"
+	t.Note = "Thomas runs on one rank; RD has no factor phase (it repeats the matrix work every solve)"
 
 	type factoredSolver interface {
 		core.Solver
@@ -82,22 +82,6 @@ func runE13(quick bool) ([]*Table, error) {
 	t.AddRow(th.Name()+" (P=1)", thFactor, thSolve, th.Stats().Flops, 0,
 		thStored, fmt.Sprintf("%.1e", a.RelResidual(xt, b)))
 
-	// BCR (sequential, no factor split).
-	bcr := core.NewBCR(a)
-	bcrSolve, err := MeasureErr(1, reps, func() error {
-		_, err := bcr.Solve(b)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("BCR solve: %w", err)
-	}
-	xb, err := bcr.Solve(b)
-	if err != nil {
-		return nil, fmt.Errorf("BCR solve: %w", err)
-	}
-	t.AddRow(bcr.Name()+" (P=1)", "-", bcrSolve, bcr.Stats().Flops, 0, 0,
-		fmt.Sprintf("%.1e", a.RelResidual(xb, b)))
-
 	// RD (no reuse).
 	rd := core.NewRD(a, core.Config{World: comm.NewWorld(p)})
 	rdSolve, err := MeasureErr(1, reps, func() error {
@@ -117,7 +101,6 @@ func runE13(quick bool) ([]*Table, error) {
 	for _, s := range []factoredSolver{
 		core.NewARD(a, core.Config{World: comm.NewWorld(p)}),
 		core.NewSpike(a, core.Config{World: comm.NewWorld(p)}),
-		core.NewPCR(a, core.Config{World: comm.NewWorld(p)}),
 	} {
 		if err := addFactored(s); err != nil {
 			return nil, err

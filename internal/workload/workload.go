@@ -1,8 +1,7 @@
 // Package workload defines the experiment workloads: named problem
-// families with seeded, reproducible construction, and right-hand-side
-// generators that model how applications produce many right-hand sides for
-// one matrix (independent batches, or time-stepping sequences where each
-// right-hand side depends on the previous solution).
+// families with seeded, reproducible construction, and a right-hand-side
+// generator that models an application producing many independent
+// right-hand sides for one matrix.
 package workload
 
 import (
@@ -73,15 +72,13 @@ func Build(f Family, n, m int, seed int64) *blocktri.Matrix {
 	}
 }
 
-// RHSStream produces a deterministic sequence of right-hand sides for a
-// matrix, modeling an application that performs repeated solves.
+// RHSStream produces a deterministic sequence of independent random
+// right-hand sides for a matrix, modeling an application that performs
+// repeated solves.
 type RHSStream struct {
-	a   *blocktri.Matrix
-	rng *rand.Rand
-	// prev is the previous solution when time-stepping, nil otherwise.
-	prev     *mat.Matrix
-	timeStep bool
-	cols     int
+	a    *blocktri.Matrix
+	rng  *rand.Rand
+	cols int
 }
 
 // NewRHSStream returns a stream of independent random right-hand sides
@@ -90,32 +87,9 @@ func NewRHSStream(a *blocktri.Matrix, cols int, seed int64) *RHSStream {
 	return &RHSStream{a: a, rng: rand.New(rand.NewSource(seed)), cols: cols}
 }
 
-// NewTimeSteppingStream returns a stream where each right-hand side is a
-// perturbation of the previous solution — the implicit-time-stepping
-// pattern (b_{t+1} = x_t + dt*source) that makes the right-hand sides
-// inherently sequential, so they cannot be batched into one wide solve.
-// This is the regime where ARD's factor/solve split pays off.
-func NewTimeSteppingStream(a *blocktri.Matrix, cols int, seed int64) *RHSStream {
-	return &RHSStream{a: a, rng: rand.New(rand.NewSource(seed)), cols: cols, timeStep: true}
-}
-
-// Next returns the next right-hand side. For time-stepping streams the
-// caller must feed the solution of the previous solve to Advance first.
+// Next returns the next right-hand side.
 func (s *RHSStream) Next() *mat.Matrix {
-	if !s.timeStep || s.prev == nil {
-		return mat.Random(s.a.N*s.a.M, s.cols, s.rng)
-	}
-	b := s.prev.Clone()
-	noise := mat.Random(b.Rows, b.Cols, s.rng)
-	mat.AXPY(b, 0.01, noise)
-	return b
-}
-
-// Advance records the solution of the previous solve (time-stepping only).
-func (s *RHSStream) Advance(x *mat.Matrix) {
-	if s.timeStep {
-		s.prev = x
-	}
+	return mat.Random(s.a.N*s.a.M, s.cols, s.rng)
 }
 
 // Spec fully describes one experiment configuration.

@@ -3,8 +3,6 @@ package workload
 import (
 	"strings"
 	"testing"
-
-	"blocktri/internal/mat"
 )
 
 func TestBuildDeterministic(t *testing.T) {
@@ -73,32 +71,6 @@ func TestRHSStreamIndependent(t *testing.T) {
 	s2 := NewRHSStream(a, 3, 7)
 	if !s2.Next().Equal(b1) {
 		t.Fatal("stream not deterministic")
-	}
-	// Advance is a no-op for independent streams.
-	s.Advance(b1)
-	if s.Next().Equal(b1) {
-		t.Fatal("independent stream returned the advanced solution")
-	}
-}
-
-func TestTimeSteppingStream(t *testing.T) {
-	a := Build(Oscillatory, 4, 2, 1)
-	s := NewTimeSteppingStream(a, 1, 9)
-	b1 := s.Next() // first step: random
-	x := mat.New(8, 1)
-	for i := range x.Data {
-		x.Data[i] = float64(i)
-	}
-	s.Advance(x)
-	b2 := s.Next()
-	// b2 must be a small perturbation of x, not of b1.
-	diffX := b2.Clone()
-	mat.Sub(diffX, diffX, x)
-	if mat.NormFrob(diffX) > 0.1*mat.NormFrob(x) {
-		t.Fatalf("time-stepping RHS too far from previous solution: %v", mat.NormFrob(diffX))
-	}
-	if b2.Equal(b1) {
-		t.Fatal("time-stepping RHS ignored the advanced solution")
 	}
 }
 
