@@ -7,7 +7,9 @@
 //
 //	L[i] x[i-1] + D[i] x[i] + U[i] x[i+1] = b[i],  i = 0..N-1
 //
-// Five solvers share the Solver interface:
+// Five solvers, and Auto which picks among them, share the Solver
+// interface: Factor runs the matrix phase once, Solve and SolveTo the
+// right-hand-side phase, and FactorStats and Stats report the cost of each.
 //
 //   - NewThomas: sequential block LU (the serial work-optimal baseline)
 //   - NewRD: classic recursive doubling over a rank communicator
@@ -67,16 +69,14 @@ type World = comm.World
 // CommStats aggregates message counts, bytes and modeled network time.
 type CommStats = comm.Stats
 
-// Solver is the common solve interface; see the core package for details.
+// Solver is the one interface of every solver; see the core package for
+// details.
 type Solver = core.Solver
-
-// Factored marks solvers with a Factor/Solve split.
-type Factored = core.Factored
 
 // Config selects the communicator and scan schedule for RD and ARD.
 type Config = core.Config
 
-// SolveStats reports the cost of a solver's last operation.
+// SolveStats reports the cost of a solver's Factor call or last solve.
 type SolveStats = core.SolveStats
 
 // Thomas, RD, ARD, Spike and Dense are the concrete solver types.
@@ -213,13 +213,10 @@ func LoadFactor(a *Matrix, cfg Config, r io.Reader) (*ARD, error) {
 // RefineReport describes what iterative refinement achieved.
 type RefineReport = core.RefineReport
 
-// ResidualSolver is a solver usable with SolveRefined.
-type ResidualSolver = core.ResidualSolver
-
 // SolveRefined solves A*x = b and applies up to maxIters steps of
 // iterative refinement, extending the accuracy of the prefix-based
 // solvers whenever PrefixGrowth*eps is well below 1.
-func SolveRefined(s ResidualSolver, b *DenseMatrix, maxIters int) (*DenseMatrix, RefineReport, error) {
+func SolveRefined(s Solver, b *DenseMatrix, maxIters int) (*DenseMatrix, RefineReport, error) {
 	return core.SolveRefined(s, b, maxIters)
 }
 

@@ -100,35 +100,29 @@ func main() {
 	fmt.Printf("total time: %v (%v per solve)\n", elapsed, elapsed/time.Duration(*solves))
 	fmt.Printf("worst relative residual: %.3e\n", worstResidual)
 
-	type statser interface{ Stats() core.SolveStats }
-	if st, ok := s.(statser); ok {
-		stats := st.Stats()
-		fmt.Printf("last solve: flops=%d maxRankFlops=%d msgs=%d bytes=%d simCommMax=%.3es\n",
-			stats.Flops, stats.MaxRankFlops, stats.Comm.MsgsSent, stats.Comm.BytesSent, stats.MaxSimComm)
-	}
+	st, fs := s.Stats(), s.FactorStats()
+	fmt.Printf("last solve: flops=%d maxRankFlops=%d msgs=%d bytes=%d simCommMax=%.3es\n",
+		st.Flops, st.MaxRankFlops, st.Comm.MsgsSent, st.Comm.BytesSent, st.MaxSimComm)
+	fmt.Printf("factor phase: flops=%d wall=%v stored=%dB growth=%.3g\n",
+		fs.Flops, fs.Wall, fs.StoredBytes, fs.PrefixGrowth)
 	if auto, ok := s.(*core.Auto); ok {
 		fmt.Printf("auto selection: %s\n", auto.Reason())
 	}
-	if ard, ok := s.(*core.ARD); ok {
-		fs := ard.FactorStats()
-		fmt.Printf("factor phase: flops=%d wall=%v stored=%dB growth=%.3g\n",
-			fs.Flops, fs.Wall, fs.StoredBytes, fs.PrefixGrowth)
-		if *saveFactor != "" {
-			f, err := os.Create(*saveFactor)
-			if err != nil {
-				fatal(err)
-			}
-			n, err := ard.SaveFactor(f)
-			if err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("saved factorization to %s (%d bytes)\n", *saveFactor, n)
+	if ard, ok := s.(*core.ARD); ok && *saveFactor != "" {
+		f, err := os.Create(*saveFactor)
+		if err != nil {
+			fatal(err)
 		}
+		n, err := ard.SaveFactor(f)
+		if err == nil {
+			err = f.Close()
+		} else {
+			f.Close()
+		}
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("saved factorization to %s (%d bytes)\n", *saveFactor, n)
 	}
 }
 

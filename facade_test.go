@@ -64,7 +64,7 @@ func TestFacadeAllSolversInterchangeable(t *testing.T) {
 func TestFacadeFactoredInterface(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := blocktri.NewOscillatory(10, 2, rng)
-	var f blocktri.Factored = blocktri.NewARD(a, blocktri.Config{})
+	var f blocktri.Solver = blocktri.NewARD(a, blocktri.Config{})
 	if f.Factored() {
 		t.Fatal("factored too early")
 	}

@@ -183,9 +183,9 @@ func errDiscardFunc(rep *reporter, m *Module, info *types.Info, body *ast.BlockS
 				errDiscardAssign(rep, m, info, env, sites, births, n, report)
 			case *ast.ReturnStmt:
 				// A return that propagates some other non-nil error value
-				// supersedes pending errors: the errSlot idiom gives domain
-				// errors precedence over the World.Run transport error, and
-				// abandoning the latter on that path is deliberate.
+				// supersedes pending errors: the solvers' phase driver gives
+				// domain errors precedence over the World.Run transport
+				// error, and abandoning the latter on that path is deliberate.
 				if returnsErrorValue(info, n) {
 					for obj := range env {
 						delete(env, obj)

@@ -17,8 +17,7 @@ import (
 // Scope: functions (and their nested function literals) whose name contains
 // "solve", case-insensitively, in blocktri/internal/core. Factor-phase code
 // allocates freely by design and is not scanned. Deliberate allocations —
-// the Solve wrappers that return a caller-owned result, one-time lazy
-// initialization on states restored from disk — carry
+// the shared Solve that returns a caller-owned result — carry
 // //lint:ignore hotalloc <reason> directives.
 var hotAllocAnalyzer = &Analyzer{
 	Name:     "hotalloc",
@@ -80,8 +79,8 @@ func runHotAlloc(m *Module) []Finding {
 }
 
 // isSolvePhaseName reports whether a function name marks solve-phase code:
-// it contains "solve" in any casing (Solve, SolveTo, solveRank,
-// rdSolveRank, ...).
+// it contains "solve" in any casing (Solve, SolveTo, solve, solveRank,
+// ...).
 func isSolvePhaseName(name string) bool {
 	return strings.Contains(strings.ToLower(name), "solve")
 }

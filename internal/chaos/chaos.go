@@ -219,11 +219,7 @@ func effectiveTol(s core.Solver, tol float64) float64 {
 		slack    = 64.0
 		tolLimit = 1e-2
 	)
-	st, ok := s.(interface{ Stats() core.SolveStats })
-	if !ok {
-		return tol
-	}
-	g := st.Stats().PrefixGrowth
+	g := s.Stats().PrefixGrowth
 	if g <= 1 {
 		return tol
 	}

@@ -1,14 +1,16 @@
 // Package core implements the paper's solvers for block tridiagonal
-// systems: the sequential block Thomas algorithm and block cyclic
-// reduction as baselines, the classic recursive doubling (RD) algorithm,
-// and the paper's contribution, the accelerated recursive doubling (ARD)
+// systems: the sequential block Thomas algorithm and the SPIKE partition
+// method as baselines, the classic recursive doubling (RD) algorithm, the
+// paper's contribution, the accelerated recursive doubling (ARD)
 // algorithm that separates the matrix-dependent prefix computation from
 // the right-hand-side-dependent work so that solving with R right-hand
 // sides costs O(M^3 (N/P + log P)) once plus O(M^2 (N/P + log P)) per
-// right-hand side, an O(R) improvement over RD's per-solve O(M^3) cost.
+// right-hand side, an O(R) improvement over RD's per-solve O(M^3) cost,
+// and dense LU as the reference.
 //
-// All solvers accept stacked multi-right-hand-side matrices: b is
-// (N*M) x R with block row i occupying rows [i*M, (i+1)*M).
+// Every solver implements Solver on one shared skeleton (solver.go) and
+// accepts stacked multi-right-hand-side matrices: b is (N*M) x R with
+// block row i occupying rows [i*M, (i+1)*M).
 package core
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -86,50 +87,47 @@ func TestThomasSolveToAllocationFree(t *testing.T) {
 	}
 }
 
-// TestSolveToMatchesSolve checks the reuse paths produce bit-identical
-// results to the allocating Solve wrappers.
+// everySolver returns one of each solver for a, the distributed ones over
+// fresh p-rank worlds.
+func everySolver(a *blocktri.Matrix, p int) []Solver {
+	cfg := func() Config { return Config{World: comm.NewWorld(p)} }
+	return []Solver{
+		NewThomas(a), NewRD(a, cfg()), NewARD(a, cfg()), NewSpike(a, cfg()),
+		NewDense(a), NewAuto(a, cfg(), AutoOptions{}),
+	}
+}
+
+// TestSolveToMatchesSolve checks every solver's reuse path produces
+// bit-identical results to the allocating Solve wrapper.
 func TestSolveToMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := blocktri.RandomDiagDominant(33, 5, rng)
 	b := a.RandomRHS(3, rng)
-
-	ard := NewARD(a, Config{World: comm.NewWorld(3)})
-	want, err := ard.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := mat.New(b.Rows, b.Cols)
-	if err := ard.SolveTo(got, b); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Error("ARD.SolveTo differs from ARD.Solve")
-	}
-
-	th := NewThomas(a)
-	wantT, err := th.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotT := mat.New(b.Rows, b.Cols)
-	if err := th.SolveTo(gotT, b); err != nil {
-		t.Fatal(err)
-	}
-	if !gotT.Equal(wantT) {
-		t.Error("Thomas.SolveTo differs from Thomas.Solve")
+	for _, s := range everySolver(a, 3) {
+		want, err := s.Solve(b)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		got := mat.New(b.Rows, b.Cols)
+		if err := s.SolveTo(got, b); err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: SolveTo differs from Solve", s.Name())
+		}
 	}
 }
 
-// TestSolveToShapeErrors checks the destination-shape validation.
+// TestSolveToShapeErrors checks every solver's destination-shape
+// validation.
 func TestSolveToShapeErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := blocktri.RandomDiagDominant(8, 2, rng)
 	b := a.RandomRHS(2, rng)
 	bad := mat.New(b.Rows, b.Cols+1)
-	if err := NewARD(a, Config{}).SolveTo(bad, b); err == nil {
-		t.Error("ARD.SolveTo accepted a mis-shaped destination")
-	}
-	if err := NewThomas(a).SolveTo(bad, b); err == nil {
-		t.Error("Thomas.SolveTo accepted a mis-shaped destination")
+	for _, s := range everySolver(a, 2) {
+		if err := s.SolveTo(bad, b); !errors.Is(err, ErrShape) {
+			t.Errorf("%s: SolveTo on a mis-shaped destination gave %v, want ErrShape", s.Name(), err)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"blocktri/internal/blocktri"
 	"blocktri/internal/comm"
 	"blocktri/internal/mat"
@@ -37,16 +34,12 @@ import (
 // exactly, so given the same inputs ARD(Factor+Solve) and RD produce
 // bit-identical solutions.
 type ARD struct {
-	a     *blocktri.Matrix
-	world *comm.World
+	base
 	sched prefix.Schedule
 
-	factored    bool
-	rk          []*ardRankState // per-rank factor state
-	luRm        *mat.LU         // factored reduced system (rank P-1)
-	growth      float64         // prefix growth diagnostic from Factor
-	factorStats SolveStats
-	solveStats  SolveStats
+	rk     []*ardRankState // per-rank factor state
+	luRm   *mat.LU         // factored reduced system (rank P-1)
+	growth float64         // prefix growth diagnostic from Factor
 
 	// negDiagPack/negLowerPack hold -D_{N-1} and -L_{N-1} prepacked with
 	// alpha = -1 for the reducedRHS subtractions, completing the set of
@@ -54,14 +47,6 @@ type ARD struct {
 	// into packed panel products.
 	negDiagPack  mat.PackedA
 	negLowerPack mat.PackedA
-
-	// Persistent solve-dispatch state, built once by Factor so that SolveTo
-	// performs no heap allocation: the per-rank flop counters and a reusable
-	// Run body reading the current arguments from solveB/solveX.
-	perRank   []int64
-	solveB    *mat.Matrix
-	solveX    *mat.Matrix
-	solveBody func(c *comm.Comm)
 }
 
 // ardRound records one Kogge-Stone round's entry values from the factor
@@ -89,11 +74,8 @@ type ardRankState struct {
 	localTotalSPack mat.PackedA
 	piSLeftPack     mat.PackedA // piS[:, 0:M], the applyPrefixState operand
 
-	// ws is the rank's solve-phase scratch arena; fs holds the per-element
-	// F vectors of the solve in flight (arena-backed, rewritten per solve).
-	// After the arena warms up to one solve's high-water mark, SolveTo
-	// allocates nothing.
-	ws *mat.Workspace
+	// fs holds the per-element F vectors of the solve in flight, checked
+	// out of the rank's arena and rewritten per solve.
 	fs []*mat.Matrix
 }
 
@@ -103,32 +85,19 @@ type ardRankState struct {
 // sequential-pipeline ablation baseline); BrentKung is not replayable in
 // the solve phase and falls back to KoggeStone.
 func NewARD(a *blocktri.Matrix, cfg Config) *ARD {
-	sched := cfg.Schedule
-	if sched != prefix.Chain {
-		sched = prefix.KoggeStone
+	s := &ARD{sched: cfg.Schedule}
+	if s.sched != prefix.Chain {
+		s.sched = prefix.KoggeStone
 	}
-	return &ARD{a: a, world: cfg.world(), sched: sched}
+	s.init(a, cfg.world(), s)
+	return s
 }
 
 // Name implements Solver.
 func (s *ARD) Name() string { return "accelerated-recursive-doubling" }
 
-// Factored implements Factored.
-func (s *ARD) Factored() bool { return s.factored }
-
-// FactorStats returns the cost of the Factor call.
-func (s *ARD) FactorStats() SolveStats { return s.factorStats }
-
-// Stats returns the cost of the most recent Solve call.
-func (s *ARD) Stats() SolveStats { return s.solveStats }
-
-// Factor implements Factored: the once-per-matrix O(M^3 (N/P + log P))
-// precomputation.
-func (s *ARD) Factor() error {
-	if s.factored {
-		return nil
-	}
-	start := time.Now()
+// factor is the once-per-matrix O(M^3 (N/P + log P)) precomputation.
+func (s *ARD) factor() error {
 	a := s.a
 	if a.N == 1 {
 		lu, err := mat.Factor(a.Diag[0])
@@ -136,36 +105,17 @@ func (s *ARD) Factor() error {
 			return err
 		}
 		s.luRm = lu
-		s.factored = true
-		s.factorStats = SolveStats{Flops: luFlops(a.M), MaxRankFlops: luFlops(a.M), Wall: time.Since(start)}
+		s.factorStats = oneRank(luFlops(a.M))
 		return nil
 	}
-	w := s.world
-	w.ResetTotals()
-	s.rk = make([]*ardRankState, w.P)
-	perRank := make([]int64, w.P)
-	var es errSlot
-	runErr := w.Run(func(c *comm.Comm) {
-		perRank[c.Rank()] = s.factorRank(c, &es)
-	})
-	if err := es.get(); err != nil {
+	s.rk = make([]*ardRankState, s.world.P)
+	if err := s.drive(nil, nil); err != nil {
 		s.rk = nil
 		return err
 	}
-	if runErr != nil {
-		s.rk = nil
-		return runErr
-	}
 	s.buildPacks()
-	s.factored = true
-	s.factorStats = SolveStats{
-		Comm:         w.TotalStats(),
-		MaxSimComm:   w.MaxSimCommTime(),
-		Wall:         time.Since(start),
-		PrefixGrowth: s.growth,
-		StoredBytes:  s.storedBytes(),
-	}
-	s.factorStats.mergeRankFlops(perRank)
+	s.factorStats.PrefixGrowth = s.growth
+	s.factorStats.StoredBytes = s.storedBytes()
 	return nil
 }
 
@@ -244,13 +194,13 @@ func (s *ARD) storedBytes() int64 {
 	return total
 }
 
-func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
+func (s *ARD) factorRank(c *comm.Comm) (int64, error) {
 	a := s.a
 	r, p := c.Rank(), c.Size()
 	m := a.M
 	lo, hi := PartRange(a.N, p, r)
 	first := max(lo, 1)
-	st := &ardRankState{lo: lo, hi: hi, first: first, ws: mat.NewWorkspace()}
+	st := &ardRankState{lo: lo, hi: hi, first: first}
 	s.rk[r] = st
 	var fc flopCounter
 
@@ -259,15 +209,15 @@ func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
 	// per kind, each sized once from the element count: a solve streams
 	// the U factors and the packs, and a store per kind keeps each stream
 	// contiguous. The running total alternates between two scratch
-	// matrices of the rank's solve arena (the solve's first Reset recycles
-	// them) and is cloned out at the end.
+	// matrices of the rank's arena (the next phase's Reset recycles them)
+	// and is cloned out at the end.
 	ne := max(hi-first, 0)
 	lus, tops, packs := mat.NewWorkspace(), mat.NewWorkspace(), mat.NewWorkspace()
 	lus.Reserve(ne*m*m, ne*m)
 	tops.Reserve(ne*2*m*m, 0)
 	packs.Reserve(ne*mat.PackALen(m, 2*m), 0)
 	st.elems = make([]element, 0, ne)
-	ws := st.ws
+	ws := s.slots[r].ws
 	sbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, 2*m), ws.GetNoClear(2*m, 2*m)}
 	bs := ws.Floats(mat.PackBLen(2*m, 2*m))
 	var total *mat.Matrix
@@ -295,11 +245,8 @@ func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
 		st.localTotalS = total.Clone()
 	}
 	st.fs = make([]*mat.Matrix, len(st.elems))
-	if buildErr != nil {
-		es.set(buildErr)
-	}
-	if !agreeOK(c, buildErr == nil) {
-		return fc.n
+	if !agree(c, buildErr) {
+		return fc.n, buildErr
 	}
 
 	// Cross-rank exclusive scan on S. The Kogge-Stone path records the
@@ -346,7 +293,7 @@ func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
 	}
 
 	// Reduced system on the last rank: factor it once.
-	factorOK := true
+	var err error
 	if r == p-1 {
 		totalS := composeS(st.piS, st.localTotalS)
 		if st.piS != nil {
@@ -355,95 +302,37 @@ func (s *ARD) factorRank(c *comm.Comm, es *errSlot) int64 {
 		s.growth = mat.NormFrob(totalS)
 		rm := reducedMatrixWS(ws, a, totalS)
 		fc.add(2 * gemmFlops(m, m, m))
-		lu, err := mat.Factor(rm)
-		if err != nil {
-			es.set(err)
-			factorOK = false
-		} else {
+		if s.luRm, err = mat.Factor(rm); err == nil {
 			fc.add(luFlops(m))
-			s.luRm = lu
 		}
 	}
-	agreeOK(c, factorOK) // every rank joins the barrier; a failure travels in es
-	return fc.n
+	agree(c, err) // every rank joins the barrier; the last rank reports a failure
+	return fc.n, err
 }
 
-// Solve implements Solver: the per-right-hand-side O(M^2 R (N/P + log P))
-// phase. It factors on first use. The result is freshly allocated; batch
-// callers that solve repeatedly should use SolveTo with a reused
-// destination, which allocates nothing once the per-rank arenas are warm.
-func (s *ARD) Solve(b *mat.Matrix) (*mat.Matrix, error) {
-	if err := checkRHS(s.a, b); err != nil {
-		return nil, err
-	}
-	//lint:ignore hotalloc Solve returns a caller-owned result; SolveTo is the reuse path
-	x := mat.New(s.a.N*s.a.M, b.Cols)
-	if err := s.SolveTo(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveTo solves A*X = B into the caller-provided x, which must have b's
-// shape and must not alias b. It factors on first use. After a warm-up
-// solve has grown the per-rank workspace arenas and the comm layer's buffer
-// pools to their high-water marks, SolveTo performs no heap allocation.
-func (s *ARD) SolveTo(x, b *mat.Matrix) error {
-	if err := checkRHS(s.a, b); err != nil {
-		return err
-	}
-	if x.Rows != b.Rows || x.Cols != b.Cols {
-		return fmt.Errorf("%w: destination %dx%d for %dx%d right-hand side", ErrShape, x.Rows, x.Cols, b.Rows, b.Cols)
-	}
-	if err := s.Factor(); err != nil {
-		return err
-	}
-	start := time.Now()
+// solve is the per-right-hand-side O(M^2 R (N/P + log P)) phase. Once a
+// warm-up solve has grown the per-rank arenas and the comm layer's buffer
+// pools to their high-water marks, it performs no heap allocation.
+func (s *ARD) solve(x, b *mat.Matrix) error {
 	a := s.a
 	if a.N == 1 {
 		s.luRm.SolveTo(x, b)
-		s.solveStats = SolveStats{Flops: luSolveFlops(a.M, b.Cols), MaxRankFlops: luSolveFlops(a.M, b.Cols), Wall: time.Since(start)}
+		s.solveStats = oneRank(luSolveFlops(a.M, b.Cols))
 		return nil
 	}
-	w := s.world
-	w.ResetTotals()
-	if s.solveBody == nil {
-		// Built once (also after LoadFactor, which bypasses Factor) so the
-		// steady-state dispatch allocates neither slices nor closures.
-		s.perRank = make([]int64, w.P)
-		s.solveBody = func(c *comm.Comm) {
-			s.perRank[c.Rank()] = s.solveRank(c, s.solveB, s.solveX)
-		}
+	if err := s.drive(x, b); err != nil {
+		return err
 	}
-	s.solveB, s.solveX = b, x
-	runErr := w.Run(s.solveBody)
-	s.solveB, s.solveX = nil, nil
-	if runErr != nil {
-		return runErr
-	}
-	s.solveStats = SolveStats{
-		Comm:         w.TotalStats(),
-		MaxSimComm:   w.MaxSimCommTime(),
-		Wall:         time.Since(start),
-		PrefixGrowth: s.growth,
-	}
-	s.solveStats.mergeRankFlops(s.perRank)
+	s.solveStats.PrefixGrowth = s.growth
 	return nil
 }
 
-func (s *ARD) solveRank(c *comm.Comm, b, x *mat.Matrix) int64 {
+func (s *ARD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	a := s.a
 	r, p := c.Rank(), c.Size()
-	m, rhs := a.M, b.Cols
+	n, m, rhs := a.N, a.M, b.Cols
 	st := s.rk[r]
-	ws := st.ws
-	if ws == nil { // rank state restored by LoadFactor rather than Factor
-		//lint:ignore hotalloc one-time lazy init for a LoadFactor-restored rank state
-		ws = mat.NewWorkspace()
-		st.ws = ws
-		st.fs = make([]*mat.Matrix, len(st.elems))
-	}
-	ws.Reset()
+	ws := s.slots[r].ws
 	var fc flopCounter
 
 	// One panel-pack scratch serves every packed product of this solve:
@@ -497,48 +386,39 @@ func (s *ARD) solveRank(c *comm.Comm, b, x *mat.Matrix) int64 {
 			}
 			c.SendOwned(r+1, tagARDSolveScan, packHMat(c, incH))
 		}
-		return s.solveFinish(c, b, x, st, localTotalH, preH, bs, &fc)
-	}
-	accH := localTotalH
-	for _, round := range st.rounds { // Kogge-Stone replay
-		if r+round.dist < p {
-			c.SendOwned(r+round.dist, tagARDSolveScan, packHMat(c, accH))
-		}
-		if r-round.dist >= 0 {
+	} else {
+		accH := localTotalH
+		for _, round := range st.rounds { // Kogge-Stone replay
+			if r+round.dist < p {
+				c.SendOwned(r+round.dist, tagARDSolveScan, packHMat(c, accH))
+			}
+			if r-round.dist < 0 {
+				continue
+			}
 			payload := c.Recv(r-round.dist, tagARDSolveScan)
 			recvH := decodeHMatWS(ws, payload)
 			c.Release(payload)
-			if recvH != nil {
-				if round.preS == nil {
-					preH = recvH
-				} else {
-					fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-					preH = composeHWS(ws, recvH, round.preS, round.preSPack, preH, bs)
-				}
-				if round.accS == nil {
-					accH = recvH
-				} else {
-					fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-					accH = composeHWS(ws, recvH, round.accS, round.accSPack, accH, bs)
-				}
+			if recvH == nil {
+				continue
+			}
+			if round.preS == nil {
+				preH = recvH
+			} else {
+				fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
+				preH = composeHWS(ws, recvH, round.preS, round.preSPack, preH, bs)
+			}
+			if round.accS == nil {
+				accH = recvH
+			} else {
+				fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
+				accH = composeHWS(ws, recvH, round.accS, round.accSPack, accH, bs)
 			}
 		}
 	}
 
-	return s.solveFinish(c, b, x, st, localTotalH, preH, bs, &fc)
-}
-
-// solveFinish is the schedule-independent tail of a solve: the reduced
-// right-hand side and x0 at the last rank, the broadcast, and the local
-// recovery by state propagation (with ping-pong arena buffers and the
-// structured transfer apply).
-func (s *ARD) solveFinish(c *comm.Comm, b, x *mat.Matrix, st *ardRankState,
-	localTotalH, preH *mat.Matrix, bs []float64, fc *flopCounter) int64 {
-	a := s.a
-	r, p := c.Rank(), c.Size()
-	n, m, rhs := a.N, a.M, b.Cols
-	ws := st.ws
-	var x0 *mat.Matrix
+	// The reduced right-hand side and x0 at the last rank, the broadcast,
+	// and the local recovery.
+	x0 := ws.GetNoClear(m, rhs)
 	if r == p-1 {
 		totalH := localTotalH
 		if preH != nil {
@@ -547,30 +427,10 @@ func (s *ARD) solveFinish(c *comm.Comm, b, x *mat.Matrix, st *ardRankState,
 		}
 		rrhs := reducedRHS(ws, a, totalH, wsBlockOf(ws, b, m, n-1), s.negDiagPack, s.negLowerPack, bs)
 		fc.add(2 * gemmFlops(m, m, rhs))
-		x0 = ws.GetNoClear(m, rhs)
 		s.luRm.SolveTo(x0, rrhs)
 		fc.add(luSolveFlops(m, rhs))
-	} else {
-		x0 = ws.GetNoClear(m, rhs)
 	}
 	c.BcastMatrixInto(p-1, x0)
-
-	if st.lo == 0 && st.hi > 0 {
-		wsBlockOf(ws, x, m, 0).CopyFrom(x0)
-	}
-	y := applyPrefixState(ws, m, st.piS, st.piSLeftPack, preH, x0, bs)
-	if st.piS != nil {
-		fc.add(gemmFlops(2*m, m, rhs) + addFlops(2*m, rhs))
-	}
-	ybuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
-	ycur := 0
-	for k, e := range st.elems {
-		dst := ybuf[ycur]
-		ycur ^= 1
-		applyT(ws, e.top, e.tPack, y, st.fs[k], dst, m, bs)
-		y = dst
-		fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-		wsBlockOf(ws, x, m, e.idx).CopyFrom(ws.View(y, 0, 0, m, rhs))
-	}
-	return fc.n
+	recoverChunk(ws, &fc, x, x0, st.lo, st.hi, st.piS, st.piSLeftPack, preH, st.elems, fs, bs)
+	return fc.n, nil
 }

@@ -124,7 +124,8 @@ func LoadFactor(a *blocktri.Matrix, cfg Config, r io.Reader) (*ARD, error) {
 // layout Factor produces for (N, M, P) and the schedule: the block range,
 // the element count and indices, every section's shape, the Kogge-Stone
 // round distances, and which scan matrices are the identity. Each element
-// keeps its transfer matrix's top half and gets the pack Factor builds.
+// keeps its transfer matrix's top half and gets the pack Factor builds, and
+// the rank gets its slots for the solve's F vectors.
 func loadRank(dec *decoder, a *blocktri.Matrix, sched prefix.Schedule, p, rank int) *ardRankState {
 	m := a.M
 	lo, hi := PartRange(a.N, p, rank)
@@ -146,6 +147,7 @@ func loadRank(dec *decoder, a *blocktri.Matrix, sched prefix.Schedule, p, rank i
 		e.luU = dec.lu(m)
 		st.elems = append(st.elems, e)
 	}
+	st.fs = make([]*mat.Matrix, len(st.elems))
 	st.localTotalS = dec.sMatrix(m, ne > 0)
 	// Replay Factor's scan on presence flags alone: which snapshots hold a
 	// matrix and which the identity depends only on which ranks own

@@ -22,7 +22,7 @@ import (
 // the recommended entry point for callers who do not know their matrix's
 // recurrence behavior in advance.
 type Auto struct {
-	a      *blocktri.Matrix
+	base
 	cfg    Config
 	opt    AutoOptions
 	chosen Solver
@@ -47,7 +47,9 @@ func (o AutoOptions) maxGrowth() float64 {
 
 // NewAuto returns an automatic solver for a over cfg's world.
 func NewAuto(a *blocktri.Matrix, cfg Config, opt AutoOptions) *Auto {
-	return &Auto{a: a, cfg: cfg, opt: opt}
+	s := &Auto{cfg: cfg, opt: opt}
+	s.init(a, nil, s)
+	return s
 }
 
 // Name implements Solver; before Factor it reports the pending state.
@@ -64,14 +66,9 @@ func (s *Auto) Reason() string { return s.reason }
 // Chosen returns the underlying solver after Factor (nil before).
 func (s *Auto) Chosen() Solver { return s.chosen }
 
-// Factored implements Factored.
-func (s *Auto) Factored() bool { return s.chosen != nil }
-
-// Factor implements Factored: it runs the selection policy.
-func (s *Auto) Factor() error {
-	if s.chosen != nil {
-		return nil
-	}
+// factor runs the selection policy; the factor stats are the chosen
+// solver's, with the wall time of the whole selection.
+func (s *Auto) factor() error {
 	// Cheap pre-screen: if the sampled per-row growth rate already puts
 	// rate^N orders of magnitude past the budget, skip ARD's O(M^3)
 	// factor entirely. A 1000x margin absorbs the heuristic's slack; the
@@ -86,9 +83,9 @@ func (s *Auto) Factor() error {
 		err := ard.Factor()
 		switch {
 		case err == nil && ard.FactorStats().PrefixGrowth <= s.opt.maxGrowth():
-			s.chosen = ard
 			s.reason = fmt.Sprintf("ARD: prefix growth %.3g within budget %.3g",
 				ard.FactorStats().PrefixGrowth, s.opt.maxGrowth())
+			s.choose(ard)
 			return nil
 		case err == nil:
 			s.reason = fmt.Sprintf("ARD rejected: prefix growth %.3g exceeds budget %.3g",
@@ -102,8 +99,8 @@ func (s *Auto) Factor() error {
 	if world.P > 1 && s.a.N >= 2*world.P {
 		spike := NewSpike(s.a, s.cfg)
 		if err := spike.Factor(); err == nil {
-			s.chosen = spike
 			s.reason += "; SPIKE selected"
+			s.choose(spike)
 			return nil
 		} else {
 			s.reason += fmt.Sprintf("; SPIKE rejected: %v", err)
@@ -116,21 +113,22 @@ func (s *Auto) Factor() error {
 	if err := th.Factor(); err != nil {
 		return fmt.Errorf("core: auto: no solver applicable (last: %w); %s", err, s.reason)
 	}
-	s.chosen = th
 	s.reason += "; Thomas selected"
+	s.choose(th)
 	return nil
 }
 
-// Solve implements Solver.
-func (s *Auto) Solve(b *mat.Matrix) (*mat.Matrix, error) {
-	if err := checkRHS(s.a, b); err != nil {
-		return nil, err
-	}
-	if err := s.Factor(); err != nil {
-		return nil, err
-	}
-	return s.chosen.Solve(b)
+// choose records the factored solver the policy selected.
+func (s *Auto) choose(chosen Solver) {
+	s.chosen = chosen
+	s.factorStats = chosen.FactorStats()
 }
 
-// Matrix implements ResidualSolver so Auto composes with SolveRefined.
-func (s *Auto) Matrix() residualMatrix { return s.a }
+// solve delegates to the chosen solver and reports its stats.
+func (s *Auto) solve(x, b *mat.Matrix) error {
+	if err := s.chosen.SolveTo(x, b); err != nil {
+		return err
+	}
+	s.solveStats = s.chosen.Stats()
+	return nil
+}

@@ -135,47 +135,14 @@ func SolveBoosted(a *blocktri.Matrix, newSolver func(*blocktri.Matrix) Solver, b
 			tau *= 1e3
 			continue
 		}
-		best, refRep := refineAgainst(a, bs, xb, b, refineIters)
+		// The correction solves are inexact by construction (bs solves the
+		// boosted system), so convergence is geometric with ratio roughly
+		// tau*||A^+||. A failed correction keeps the best iterate so far
+		// instead of discarding the answer.
+		best, refRep, _ := refine(a, bs, xb, b, refineIters)
 		rep.Refine = refRep
 		return best, rep, nil
 	}
 	return nil, rep, fmt.Errorf("core: diagonal boost exhausted after %d attempts (last tau %.3g): %w",
 		rep.Attempts, rep.Tau, origErr)
-}
-
-// refineAgainst runs iterative refinement of x0 against matrix a using s —
-// a solver for a *different* (perturbed) matrix — as the preconditioner:
-//
-//	x <- x - s.Solve(a*x - b)
-//
-// Unlike SolveRefined, the correction solve is inexact by construction
-// (s solves the boosted system), so convergence is geometric with ratio
-// roughly tau*||A^+||; iteration stops once the residual stops improving,
-// keeping the best iterate. A failed correction solve keeps the current
-// best instead of discarding the answer.
-func refineAgainst(a residualMatrix, s Solver, x0, b *mat.Matrix, maxIters int) (*mat.Matrix, RefineReport) {
-	best := x0
-	bestNorm := residNorm(a, x0, b)
-	rep := RefineReport{InitialResidual: bestNorm, FinalResidual: bestNorm}
-	for it := 0; it < maxIters; it++ {
-		if bestNorm == 0 {
-			break
-		}
-		r := a.MatVec(best)
-		mat.Sub(r, r, b)
-		d, err := s.Solve(r)
-		if err != nil {
-			break
-		}
-		next := best.Clone()
-		mat.AXPY(next, -1, d)
-		norm := residNorm(a, next, b)
-		if norm >= bestNorm {
-			break
-		}
-		best, bestNorm = next, norm
-		rep.Iters++
-		rep.FinalResidual = norm
-	}
-	return best, rep
 }

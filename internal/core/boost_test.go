@@ -102,8 +102,12 @@ func TestSolveBoostedRecoversSingularSuper(t *testing.T) {
 }
 
 // alwaysSingular exercises the escalation ladder: every factorization
-// attempt reports a singular pivot regardless of the shift.
-type alwaysSingular struct{ calls *int }
+// attempt reports a singular pivot regardless of the shift. The embedded
+// Solver is nil: SolveBoosted calls only Solve.
+type alwaysSingular struct {
+	Solver
+	calls *int
+}
 
 func (s alwaysSingular) Name() string { return "always-singular" }
 func (s alwaysSingular) Solve(b *mat.Matrix) (*mat.Matrix, error) {
@@ -116,7 +120,7 @@ func TestSolveBoostedExhaustsLadder(t *testing.T) {
 	a := blocktri.RandomDiagDominant(3, 2, rng)
 	b := a.RandomRHS(1, rng)
 	calls := 0
-	_, rep, err := SolveBoosted(a, func(*blocktri.Matrix) Solver { return alwaysSingular{&calls} }, b, 4)
+	_, rep, err := SolveBoosted(a, func(*blocktri.Matrix) Solver { return alwaysSingular{calls: &calls} }, b, 4)
 	if !errors.Is(err, mat.ErrSingular) {
 		t.Fatalf("want wrapped ErrSingular after exhaustion, got %v", err)
 	}
@@ -129,7 +133,7 @@ func TestSolveBoostedExhaustsLadder(t *testing.T) {
 }
 
 // failOther verifies that non-singular errors pass through untouched.
-type failOther struct{}
+type failOther struct{ Solver }
 
 func (failOther) Name() string { return "fail-other" }
 func (failOther) Solve(b *mat.Matrix) (*mat.Matrix, error) {

@@ -268,16 +268,19 @@ func TestThomasFactorSplit(t *testing.T) {
 	if err := th.Factor(); err != nil {
 		t.Fatal(err)
 	}
-	factorFlops := th.Stats().Flops
+	factor := th.FactorStats()
 	b1 := a.RandomRHS(1, rng)
 	requireAccurate(t, a, th, b1)
 	solveFlops := th.Stats().Flops
-	if solveFlops >= factorFlops {
+	if solveFlops >= factor.Flops {
 		t.Fatalf("Thomas solve flops %d should be below factor flops %d (M^2 vs M^3 per row)",
-			solveFlops, factorFlops)
+			solveFlops, factor.Flops)
 	}
 	b2 := a.RandomRHS(4, rng)
 	requireAccurate(t, a, th, b2)
+	if th.FactorStats() != factor {
+		t.Fatalf("solves changed the factor stats: %+v, was %+v", th.FactorStats(), factor)
+	}
 }
 
 func TestRDStatsPopulated(t *testing.T) {
@@ -483,7 +486,7 @@ func TestStoredBytesAccounting(t *testing.T) {
 	// Thomas retains N LU blocks (+pivots) and N-1 w blocks.
 	m64 := int64(a.M)
 	wantThomas := int64(a.N)*(8*m64*m64+8*m64) + int64(a.N-1)*8*m64*m64
-	if got := th.Stats().StoredBytes; got != wantThomas {
+	if got := th.FactorStats().StoredBytes; got != wantThomas {
 		t.Fatalf("Thomas stored %d want %d", got, wantThomas)
 	}
 	ard := NewARD(a, Config{World: comm.NewWorld(4)})

@@ -11,40 +11,37 @@ import (
 // kernels and therefore serves as the accuracy oracle for every other
 // solver.
 type Dense struct {
-	a  *blocktri.Matrix
+	base
 	lu *mat.LU
 }
 
 // NewDense wraps a; factorization happens lazily on first Solve or an
 // explicit Factor call.
-func NewDense(a *blocktri.Matrix) *Dense { return &Dense{a: a} }
+func NewDense(a *blocktri.Matrix) *Dense {
+	d := &Dense{}
+	d.init(a, nil, d)
+	return d
+}
 
 // Name implements Solver.
 func (d *Dense) Name() string { return "dense-lu" }
 
-// Factor implements Factored.
-func (d *Dense) Factor() error {
-	if d.lu != nil {
-		return nil
-	}
+// factor expands the matrix and factors it: O((N*M)^3).
+func (d *Dense) factor() error {
 	lu, err := mat.Factor(d.a.Dense())
 	if err != nil {
 		return err
 	}
 	d.lu = lu
+	n := d.a.N * d.a.M
+	d.factorStats = oneRank(luFlops(n))
+	d.factorStats.StoredBytes = luBytes(n)
 	return nil
 }
 
-// Factored implements Factored.
-func (d *Dense) Factored() bool { return d.lu != nil }
-
-// Solve implements Solver.
-func (d *Dense) Solve(b *mat.Matrix) (*mat.Matrix, error) {
-	if err := checkRHS(d.a, b); err != nil {
-		return nil, err
-	}
-	if err := d.Factor(); err != nil {
-		return nil, err
-	}
-	return d.lu.Solve(b), nil
+// solve substitutes through the dense factors: O((N*M)^2 R).
+func (d *Dense) solve(x, b *mat.Matrix) error {
+	d.lu.SolveTo(x, b)
+	d.solveStats = oneRank(luSolveFlops(b.Rows, b.Cols))
+	return nil
 }

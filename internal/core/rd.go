@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"time"
-
 	"blocktri/internal/blocktri"
 	"blocktri/internal/comm"
 	"blocktri/internal/mat"
@@ -37,124 +34,68 @@ func (cfg Config) world() *comm.World {
 	return cfg.World
 }
 
-// RD is the classic recursive doubling solver. Every Solve call rebuilds
-// the transfer matrices, re-runs the local O(M^3 N/P) scan and the
-// O(M^3 log P) cross-rank scan: nothing is reused between calls. This is
-// the algorithm the paper identifies as sub-optimal for repeated solves
-// with the same matrix.
+// RD is the classic recursive doubling solver. Every solve rebuilds the
+// transfer matrices, re-runs the local O(M^3 N/P) scan and the O(M^3 log P)
+// cross-rank scan: nothing is reused between calls. This is the algorithm
+// the paper identifies as sub-optimal for repeated solves with the same
+// matrix. RD has no factor phase: Factor does nothing, and FactorStats
+// counts no work.
 type RD struct {
-	a     *blocktri.Matrix
-	world *comm.World
-	sched prefix.Schedule
-	stats SolveStats
-	ws    []*mat.Workspace // per-rank solve arenas, reused across Solve calls
+	base
+	sched  prefix.Schedule
+	growth float64 // prefix growth of the solve in flight, set by the last rank
 }
 
 // NewRD returns a recursive doubling solver for a over cfg's world.
 func NewRD(a *blocktri.Matrix, cfg Config) *RD {
-	w := cfg.world()
-	ws := make([]*mat.Workspace, w.P)
-	for i := range ws {
-		ws[i] = mat.NewWorkspace()
-	}
-	return &RD{a: a, world: w, sched: cfg.Schedule, ws: ws}
+	rd := &RD{sched: cfg.Schedule}
+	rd.init(a, cfg.world(), rd)
+	return rd
 }
 
 // Name implements Solver.
 func (rd *RD) Name() string { return "recursive-doubling" }
 
-// Stats returns the cost of the most recent Solve call. Communication
-// counters are owned by the solver: Solve resets the world's totals.
-func (rd *RD) Stats() SolveStats { return rd.stats }
+// factor is a no-op: RD repeats the matrix work on every solve.
+func (rd *RD) factor() error { return nil }
 
-// errSlot collects the first error raised by any rank.
-type errSlot struct {
-	mu  sync.Mutex
-	err error
-}
+// factorRank is never driven, since factor does nothing.
+func (rd *RD) factorRank(*comm.Comm) (int64, error) { return 0, nil }
 
-func (e *errSlot) set(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-func (e *errSlot) get() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
-}
-
-// agreeOK reports whether every rank passed ok=true; it is the collective
-// error barrier that lets all ranks abandon a solve together instead of
-// deadlocking when one rank fails.
-func agreeOK(c *comm.Comm, ok bool) bool {
-	flag := 0.0
-	if !ok {
-		flag = 1
-	}
-	res := c.Allreduce([]float64{flag}, comm.OpMax)
-	return res[0] == 0
-}
-
-// Solve implements Solver.
-func (rd *RD) Solve(b *mat.Matrix) (*mat.Matrix, error) {
-	if err := checkRHS(rd.a, b); err != nil {
-		return nil, err
-	}
-	start := time.Now()
+// solve runs a whole recursive doubling solve. Communication counters are
+// owned by the solver: each solve resets the world's totals.
+func (rd *RD) solve(x, b *mat.Matrix) error {
 	a := rd.a
 	if a.N == 1 {
-		x, err := mat.Solve(a.Diag[0], b)
+		lu, err := mat.Factor(a.Diag[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rd.stats = SolveStats{Flops: luFlops(a.M) + luSolveFlops(a.M, b.Cols), Wall: time.Since(start)}
-		rd.stats.MaxRankFlops = rd.stats.Flops
-		return x, nil
+		lu.SolveTo(x, b)
+		rd.solveStats = oneRank(luFlops(a.M) + luSolveFlops(a.M, b.Cols))
+		return nil
 	}
-	w := rd.world
-	w.ResetTotals()
-	//lint:ignore hotalloc Solve returns a caller-owned result matrix
-	x := mat.New(a.N*a.M, b.Cols)
-	perRank := make([]int64, w.P)
-	growth := make([]float64, w.P)
-	var es errSlot
-	runErr := w.Run(func(c *comm.Comm) {
-		perRank[c.Rank()], growth[c.Rank()] = rd.rdSolveRank(c, b, x, &es)
-	})
-	if err := es.get(); err != nil {
-		return nil, err
+	if err := rd.drive(x, b); err != nil {
+		return err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	rd.stats = SolveStats{
-		Comm:         w.TotalStats(),
-		MaxSimComm:   w.MaxSimCommTime(),
-		Wall:         time.Since(start),
-		PrefixGrowth: growth[w.P-1],
-	}
-	rd.stats.mergeRankFlops(perRank)
-	return x, nil
+	rd.solveStats.PrefixGrowth = rd.growth
+	return nil
 }
 
-// rdSolveRank is one rank's share of a recursive doubling solve. It returns
-// the rank's analytic flop count and, on the last rank, the prefix growth
-// diagnostic. All per-solve storage is checked out of the rank's arena; RD
-// still redoes every operation per solve (that is the algorithm), it just
-// stops paying the allocator for the privilege. Transfer-matrix applications
-// go through applyT so RD and ARD keep producing bit-identical solutions.
-func (rd *RD) rdSolveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) (int64, float64) {
+// solveRank is one rank's share of a recursive doubling solve; the last
+// rank also records the prefix growth diagnostic. All per-solve storage is
+// checked out of the rank's arena; RD still redoes every operation per
+// solve (that is the algorithm), it just stops paying the allocator for the
+// privilege. Transfer-matrix applications go through applyT and the
+// recovery through recoverChunk, so RD and ARD keep producing bit-identical
+// solutions.
+func (rd *RD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	a := rd.a
 	r, p := c.Rank(), c.Size()
 	n, m, rhs := a.N, a.M, b.Cols
 	lo, hi := PartRange(n, p, r)
 	first := max(lo, 1)
-	ws := rd.ws[r]
-	ws.Reset()
+	ws := rd.slots[r].ws
 	var fc flopCounter
 
 	// Phase 1: build local scan elements and reduce them to the local
@@ -193,11 +134,8 @@ func (rd *RD) rdSolveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) (int64, f
 		applyT(ws, e.top, mat.PackedA{}, localTotal.H, f, nh, m, nil)
 		localTotal = Affine{S: ns, H: nh}
 	}
-	if buildErr != nil {
-		es.set(buildErr)
-	}
-	if !agreeOK(c, buildErr == nil) {
-		return fc.n, 0
+	if !agree(c, buildErr) {
+		return fc.n, buildErr
 	}
 
 	// Phase 2: cross-rank exclusive scan — the O(M^3 log P) term.
@@ -213,8 +151,7 @@ func (rd *RD) rdSolveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) (int64, f
 	// Phase 3: reduced system for x_0 on the last rank, then broadcast.
 	// Every rank checks out the x0 buffer so the broadcast decodes in place.
 	x0 := ws.GetNoClear(m, rhs)
-	growth := 0.0
-	solveOK := true
+	var err error
 	if r == p-1 {
 		totalS, totalH := localTotal.S, localTotal.H
 		if !pi.IsIdentity() {
@@ -224,14 +161,11 @@ func (rd *RD) rdSolveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) (int64, f
 			totalH = composeHWS(ws, pi.H, localTotal.S, mat.PackedA{}, localTotal.H, nil)
 			totalS = ts
 		}
-		growth = mat.NormFrob(totalS)
+		rd.growth = mat.NormFrob(totalS)
 		rm := reducedMatrixWS(ws, a, totalS)
 		fc.add(2 * gemmFlops(m, m, m))
-		luRm, err := ws.LU(rm)
-		if err != nil {
-			es.set(err)
-			solveOK = false
-		} else {
+		var luRm *mat.LU
+		if luRm, err = ws.LU(rm); err == nil {
 			fc.add(luFlops(m))
 			rrhs := reducedRHS(ws, a, totalH, wsBlockOf(ws, b, m, n-1), mat.PackedA{}, mat.PackedA{}, nil)
 			fc.add(2 * gemmFlops(m, m, rhs))
@@ -239,28 +173,12 @@ func (rd *RD) rdSolveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) (int64, f
 			fc.add(luSolveFlops(m, rhs))
 		}
 	}
-	if !agreeOK(c, solveOK) {
-		return fc.n, growth
+	if !agree(c, err) {
+		return fc.n, err
 	}
 	c.BcastMatrixInto(p-1, x0)
 
 	// Phase 4: local recovery by state propagation — O(M^2 R N/P).
-	if lo == 0 && hi > 0 {
-		wsBlockOf(ws, x, m, 0).CopyFrom(x0)
-	}
-	y := applyPrefixState(ws, m, pi.S, mat.PackedA{}, pi.H, x0, nil)
-	if pi.S != nil {
-		fc.add(gemmFlops(2*m, m, rhs) + addFlops(2*m, rhs))
-	}
-	ybuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
-	ycur := 0
-	for k, e := range elems {
-		dst := ybuf[ycur]
-		ycur ^= 1
-		applyT(ws, e.top, mat.PackedA{}, y, fs[k], dst, m, nil)
-		y = dst
-		fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-		wsBlockOf(ws, x, m, e.idx).CopyFrom(ws.View(y, 0, 0, m, rhs))
-	}
-	return fc.n, growth
+	recoverChunk(ws, &fc, x, x0, lo, hi, pi.S, mat.PackedA{}, pi.H, elems, fs, nil)
+	return fc.n, nil
 }

@@ -1,6 +1,9 @@
 package core
 
-import "blocktri/internal/mat"
+import (
+	"blocktri/internal/blocktri"
+	"blocktri/internal/mat"
+)
 
 // RefineReport describes what iterative refinement achieved.
 type RefineReport struct {
@@ -17,31 +20,6 @@ type RefineReport struct {
 // digits to refine (for ARD/RD: PrefixGrowth*eps is near or above 1).
 func (r RefineReport) Improved() bool { return r.FinalResidual < r.InitialResidual }
 
-// ResidualSolver is the contract required by SolveRefined: a solver whose
-// matrix is known so residuals can be formed.
-type ResidualSolver interface {
-	Solver
-	// Matrix returns the system matrix the solver was built for.
-	Matrix() residualMatrix
-}
-
-// residualMatrix is the minimal matrix interface refinement needs.
-type residualMatrix interface {
-	MatVec(x *mat.Matrix) *mat.Matrix
-}
-
-// Matrix implements ResidualSolver for ARD.
-func (s *ARD) Matrix() residualMatrix { return s.a }
-
-// Matrix implements ResidualSolver for RD.
-func (rd *RD) Matrix() residualMatrix { return rd.a }
-
-// Matrix implements ResidualSolver for Spike.
-func (s *Spike) Matrix() residualMatrix { return s.a }
-
-// Matrix implements ResidualSolver for Thomas.
-func (t *Thomas) Matrix() residualMatrix { return t.a }
-
 // SolveRefined solves A*x = b with s and then applies up to maxIters
 // steps of iterative refinement:
 //
@@ -56,24 +34,37 @@ func (t *Thomas) Matrix() residualMatrix { return t.a }
 // below ~1/2; for ARD/RD that means PrefixGrowth*eps << 1. Beyond that
 // the corrections make no progress; the report's Improved method exposes
 // this so callers can fall back to a stable solver.
-func SolveRefined(s ResidualSolver, b *mat.Matrix, maxIters int) (*mat.Matrix, RefineReport, error) {
+func SolveRefined(s Solver, b *mat.Matrix, maxIters int) (*mat.Matrix, RefineReport, error) {
 	x, err := s.Solve(b)
 	if err != nil {
 		return nil, RefineReport{}, err
 	}
-	a := s.Matrix()
-	best := x
-	bestNorm := residNorm(a, x, b)
+	best, rep, err := refine(s.Matrix(), s, x, b, maxIters)
+	if err != nil {
+		return nil, rep, err
+	}
+	return best, rep, nil
+}
+
+// refine is the one refinement loop: starting from x0 it applies up to
+// maxIters corrections against matrix a,
+//
+//	x <- x - s.Solve(a*x - b)
+//
+// where s solves a itself (SolveRefined) or a perturbed matrix that serves
+// as a preconditioner (SolveBoosted), and stops once the residual stops
+// improving. It returns the best iterate with its report, and the error of
+// a failed correction solve, if any.
+func refine(a *blocktri.Matrix, s Solver, x0, b *mat.Matrix, maxIters int) (*mat.Matrix, RefineReport, error) {
+	best := x0
+	bestNorm := residNorm(a, x0, b)
 	rep := RefineReport{InitialResidual: bestNorm, FinalResidual: bestNorm}
-	for it := 0; it < maxIters; it++ {
-		if bestNorm == 0 {
-			break
-		}
+	for it := 0; it < maxIters && bestNorm != 0; it++ {
 		r := a.MatVec(best)
 		mat.Sub(r, r, b) // r = A*x - b
 		d, err := s.Solve(r)
 		if err != nil {
-			return nil, rep, err
+			return best, rep, err
 		}
 		next := best.Clone()
 		mat.AXPY(next, -1, d)
@@ -88,7 +79,7 @@ func SolveRefined(s ResidualSolver, b *mat.Matrix, maxIters int) (*mat.Matrix, R
 	return best, rep, nil
 }
 
-func residNorm(a residualMatrix, x, b *mat.Matrix) float64 {
+func residNorm(a *blocktri.Matrix, x, b *mat.Matrix) float64 {
 	r := a.MatVec(x)
 	mat.Sub(r, r, b)
 	return mat.NormFrob(r)

@@ -80,7 +80,7 @@ func TestRefinementWorksForAllResidualSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(304))
 	a := blocktri.RandomDiagDominant(12, 3, rng)
 	b := a.RandomRHS(2, rng)
-	solvers := []ResidualSolver{
+	solvers := []Solver{
 		NewThomas(a),
 		NewRD(a, Config{World: comm.NewWorld(3)}),
 		NewARD(a, Config{World: comm.NewWorld(3)}),

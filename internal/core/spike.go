@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"blocktri/internal/blocktri"
 	"blocktri/internal/comm"
@@ -33,15 +32,9 @@ import (
 // and the chunk diagonal blocks must admit a block LU (guaranteed for
 // block diagonally dominant systems).
 type Spike struct {
-	a     *blocktri.Matrix
-	world *comm.World
-
-	factored    bool
-	rk          []*spikeRankState
-	ws          []*mat.Workspace // per-rank solve arenas
-	reduced     *Thomas          // factored reduced system, held by the root
-	factorStats SolveStats
-	solveStats  SolveStats
+	base
+	rk      []*spikeRankState
+	reduced *Thomas // factored reduced system, held by the root
 }
 
 // ErrChunkTooSmall is returned when a rank owns fewer than two block rows.
@@ -56,25 +49,13 @@ type spikeRankState struct {
 
 // NewSpike returns a SPIKE solver for a over cfg's world.
 func NewSpike(a *blocktri.Matrix, cfg Config) *Spike {
-	w := cfg.world()
-	ws := make([]*mat.Workspace, w.P)
-	for i := range ws {
-		ws[i] = mat.NewWorkspace()
-	}
-	return &Spike{a: a, world: w, ws: ws}
+	s := &Spike{}
+	s.init(a, cfg.world(), s)
+	return s
 }
 
 // Name implements Solver.
 func (s *Spike) Name() string { return "spike" }
-
-// Factored implements Factored.
-func (s *Spike) Factored() bool { return s.factored }
-
-// FactorStats returns the cost of the Factor call.
-func (s *Spike) FactorStats() SolveStats { return s.factorStats }
-
-// Stats returns the cost of the most recent Solve call.
-func (s *Spike) Stats() SolveStats { return s.solveStats }
 
 // Message tags for the SPIKE phases.
 const (
@@ -106,14 +87,10 @@ func chunkMatrix(a *blocktri.Matrix, lo, hi int) *blocktri.Matrix {
 	return c
 }
 
-// Factor implements Factored.
-func (s *Spike) Factor() error {
-	if s.factored {
-		return nil
-	}
-	start := time.Now()
-	a := s.a
-	p := s.world.P
+// factor factors every chunk with its spikes and the root's reduced
+// system.
+func (s *Spike) factor() error {
+	a, p := s.a, s.world.P
 	if p == 1 {
 		// Degenerate single-rank case: SPIKE is exactly block Thomas.
 		th := NewThomas(a)
@@ -121,64 +98,28 @@ func (s *Spike) Factor() error {
 			return err
 		}
 		s.rk = []*spikeRankState{{lo: 0, hi: a.N, local: th}}
-		s.factored = true
-		s.factorStats = th.Stats()
+		s.factorStats = th.FactorStats()
 		return nil
 	}
 	if a.N < 2*p {
 		return fmt.Errorf("%w: N=%d P=%d", ErrChunkTooSmall, a.N, p)
 	}
-	w := s.world
-	w.ResetTotals()
 	s.rk = make([]*spikeRankState, p)
-	perRank := make([]int64, p)
-	var es errSlot
-	runErr := w.Run(func(c *comm.Comm) {
-		perRank[c.Rank()] = s.factorRank(c, &es)
-	})
-	if err := es.get(); err != nil {
+	if err := s.drive(nil, nil); err != nil {
 		s.rk = nil
 		return err
 	}
-	if runErr != nil {
-		s.rk = nil
-		return runErr
+	// The retained state: each rank's local block LU and its two spikes,
+	// and the root's factored reduced system.
+	stored := s.reduced.FactorStats().StoredBytes
+	for _, st := range s.rk {
+		stored += st.local.FactorStats().StoredBytes + matBytes(st.v) + matBytes(st.w)
 	}
-	s.factored = true
-	s.factorStats = SolveStats{
-		Comm:        w.TotalStats(),
-		MaxSimComm:  w.MaxSimCommTime(),
-		Wall:        time.Since(start),
-		StoredBytes: s.storedBytes(),
-	}
-	s.factorStats.mergeRankFlops(perRank)
+	s.factorStats.StoredBytes = stored
 	return nil
 }
 
-// storedBytes totals the retained factor state: each rank's local block
-// LU, the two spikes, and the root's factored reduced system. The local
-// Thomas storage is computed analytically because its Stats() were
-// overwritten by the spike solves during Factor.
-func (s *Spike) storedBytes() int64 {
-	var total int64
-	m := int64(s.a.M)
-	thomasBytes := func(n, blk int64) int64 {
-		return n*(8*blk*blk+8*blk) + (n-1)*8*blk*blk
-	}
-	for _, st := range s.rk {
-		if st == nil {
-			continue
-		}
-		total += thomasBytes(int64(st.hi-st.lo), m)
-		total += matBytes(st.v) + matBytes(st.w)
-	}
-	if s.reduced != nil {
-		total += thomasBytes(int64(s.world.P-1), 2*m)
-	}
-	return total
-}
-
-func (s *Spike) factorRank(c *comm.Comm, es *errSlot) int64 {
+func (s *Spike) factorRank(c *comm.Comm) (int64, error) {
 	a := s.a
 	r, p := c.Rank(), c.Size()
 	m := a.M
@@ -192,7 +133,7 @@ func (s *Spike) factorRank(c *comm.Comm, es *errSlot) int64 {
 	st.local = NewThomas(chunkMatrix(a, lo, hi))
 	err := st.local.Factor()
 	if err == nil {
-		fc.add(st.local.Stats().Flops)
+		fc.add(st.local.FactorStats().Flops)
 		// Spikes: V = A_r^{-1} [L_lo; 0; ...], W = A_r^{-1} [...; 0; U_{hi-1}].
 		if r > 0 {
 			rhs := mat.New(nr*m, m)
@@ -208,10 +149,10 @@ func (s *Spike) factorRank(c *comm.Comm, es *errSlot) int64 {
 		fc.add(st.local.Stats().Flops)
 	}
 	if err != nil {
-		es.set(fmt.Errorf("core: spike rank %d: %w", r, err))
+		err = fmt.Errorf("core: spike rank %d: %w", r, err)
 	}
-	if !agreeOK(c, err == nil) {
-		return fc.n
+	if !agree(c, err) {
+		return fc.n, err
 	}
 
 	// Gather the spike corner blocks at the root and assemble the reduced
@@ -233,25 +174,20 @@ func (s *Spike) factorRank(c *comm.Comm, es *errSlot) int64 {
 	)
 	root := 0
 	gathered := c.Gather(root, payload)
-	reducedOK := true
 	if r == root {
-		reduced, err := s.assembleReduced(gathered)
-		if err == nil {
+		var reduced *blocktri.Matrix
+		if reduced, err = s.assembleReduced(gathered); err == nil {
 			s.reduced = NewThomas(reduced)
-			err = s.reduced.Factor()
-			if err == nil {
-				fc.add(s.reduced.Stats().Flops)
+			if err = s.reduced.Factor(); err == nil {
+				fc.add(s.reduced.FactorStats().Flops)
 			}
 		}
 		if err != nil {
-			es.set(fmt.Errorf("core: spike reduced system: %w", err))
-			reducedOK = false
+			err = fmt.Errorf("core: spike reduced system: %w", err)
 		}
 	}
-	if !agreeOK(c, reducedOK) {
-		return fc.n
-	}
-	return fc.n
+	agree(c, err)
+	return fc.n, err
 }
 
 // assembleReduced builds the (P-1)-row reduced block tridiagonal system
@@ -286,55 +222,27 @@ func (s *Spike) assembleReduced(gathered [][]float64) (*blocktri.Matrix, error) 
 	return red, nil
 }
 
-// Solve implements Solver.
-func (s *Spike) Solve(b *mat.Matrix) (*mat.Matrix, error) {
-	if err := checkRHS(s.a, b); err != nil {
-		return nil, err
+// solve runs the chunk solves, the root's reduced solve and the spike
+// updates.
+func (s *Spike) solve(x, b *mat.Matrix) error {
+	if s.world.P > 1 {
+		return s.drive(x, b)
 	}
-	if err := s.Factor(); err != nil {
-		return nil, err
+	local := s.rk[0].local
+	if err := local.SolveTo(x, b); err != nil {
+		return err
 	}
-	start := time.Now()
-	if s.world.P == 1 {
-		x, err := s.rk[0].local.Solve(b)
-		if err != nil {
-			return nil, err
-		}
-		s.solveStats = s.rk[0].local.Stats()
-		return x, nil
-	}
-	w := s.world
-	w.ResetTotals()
-	//lint:ignore hotalloc Solve returns a caller-owned result matrix
-	x := mat.New(s.a.N*s.a.M, b.Cols)
-	perRank := make([]int64, w.P)
-	var es errSlot
-	runErr := w.Run(func(c *comm.Comm) {
-		perRank[c.Rank()] = s.solveRank(c, b, x, &es)
-	})
-	if err := es.get(); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	s.solveStats = SolveStats{
-		Comm:       w.TotalStats(),
-		MaxSimComm: w.MaxSimCommTime(),
-		Wall:       time.Since(start),
-	}
-	s.solveStats.mergeRankFlops(perRank)
-	return x, nil
+	s.solveStats = local.Stats()
+	return nil
 }
 
-func (s *Spike) solveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) int64 {
+func (s *Spike) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	a := s.a
 	r, p := c.Rank(), c.Size()
 	m, rhs := a.M, b.Cols
 	st := s.rk[r]
 	nr := st.hi - st.lo
-	ws := s.ws[r]
-	ws.Reset()
+	ws := s.slots[r].ws
 	var fc flopCounter
 
 	// Local chunk solve: X0 = A_r^{-1} b_r, into an arena buffer.
@@ -342,11 +250,9 @@ func (s *Spike) solveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) int64 {
 	err := st.local.SolveTo(x0, ws.View(b, st.lo*m, 0, nr*m, rhs))
 	if err == nil {
 		fc.add(st.local.Stats().Flops)
-	} else {
-		es.set(err)
 	}
-	if !agreeOK(c, err == nil) {
-		return fc.n
+	if !agree(c, err) {
+		return fc.n, err
 	}
 
 	// Gather the interface rows [x0 top ; x0 bottom] at the root.
@@ -359,7 +265,6 @@ func (s *Spike) solveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) int64 {
 
 	// Root: reduced solve, then scatter each rank its halo values
 	// (x_{lo-1} = b_{r-1} and x_{hi} = t_{r+1}).
-	reducedOK := true
 	if r == root {
 		zrhs := ws.GetNoClear((p-1)*2*m, rhs) // every row overwritten below
 		type gf struct{ top, bot *mat.Matrix }
@@ -373,8 +278,7 @@ func (s *Spike) solveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) int64 {
 			ws.View(zrhs, q*2*m+m, 0, m, rhs).CopyFrom(gs[q+1].top)
 		}
 		z := ws.GetNoClear((p-1)*2*m, rhs)
-		err := s.reduced.SolveTo(z, zrhs)
-		if err == nil {
+		if err = s.reduced.SolveTo(z, zrhs); err == nil {
 			fc.add(s.reduced.Stats().Flops)
 			zero := ws.Get(m, rhs)
 			for q := 0; q < p; q++ {
@@ -388,13 +292,10 @@ func (s *Spike) solveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) int64 {
 				}
 				c.Send(q, tagSpikeSolveScatter, comm.EncodeMatrices(left, right))
 			}
-		} else {
-			es.set(err)
-			reducedOK = false
 		}
 	}
-	if !agreeOK(c, reducedOK) {
-		return fc.n
+	if !agree(c, err) {
+		return fc.n, err
 	}
 	halo := comm.DecodeMatrices(c.Recv(root, tagSpikeSolveScatter))
 	left, right := halo[0], halo[1]
@@ -410,5 +311,5 @@ func (s *Spike) solveRank(c *comm.Comm, b, x *mat.Matrix, es *errSlot) int64 {
 		mat.MulSub(out, st.w, right)
 		fc.add(gemmFlops(nr*m, m, rhs))
 	}
-	return fc.n
+	return fc.n, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"blocktri/internal/blocktri"
 	"blocktri/internal/mat"
@@ -21,35 +20,24 @@ import (
 // Thomas requires every Δ_i to be nonsingular, which holds for block
 // diagonally dominant systems.
 type Thomas struct {
-	a     *blocktri.Matrix
-	luD   []*mat.LU     // factorizations of Δ_i
-	w     []*mat.Matrix // w[i] = Δ_i^{-1} U_i, i = 0..N-2
-	ws    *mat.Workspace
-	stats SolveStats
+	base
+	luD []*mat.LU     // factorizations of Δ_i
+	w   []*mat.Matrix // w[i] = Δ_i^{-1} U_i, i = 0..N-2
 }
 
 // NewThomas wraps a; factorization happens lazily on first Solve or an
 // explicit Factor call.
 func NewThomas(a *blocktri.Matrix) *Thomas {
-	return &Thomas{a: a, ws: mat.NewWorkspace()}
+	t := &Thomas{}
+	t.init(a, nil, t)
+	return t
 }
 
 // Name implements Solver.
 func (t *Thomas) Name() string { return "block-thomas" }
 
-// Factored implements Factored.
-func (t *Thomas) Factored() bool { return t.luD != nil }
-
-// Stats returns the cost of the most recent Factor or Solve call.
-func (t *Thomas) Stats() SolveStats { return t.stats }
-
-// Factor implements Factored: it computes and stores the block LU
-// factorization.
-func (t *Thomas) Factor() error {
-	if t.Factored() {
-		return nil
-	}
-	start := time.Now()
+// factor computes and stores the block LU factorization.
+func (t *Thomas) factor() error {
 	a := t.a
 	n, m := a.N, a.M
 	var fc flopCounter
@@ -74,45 +62,20 @@ func (t *Thomas) Factor() error {
 		fc.add(gemmFlops(m, m, m))
 	}
 	t.luD, t.w = luD, w
-	stored := int64(len(luD)) * luBytes(m)
+	t.factorStats = oneRank(fc.n)
+	t.factorStats.StoredBytes = int64(len(luD)) * luBytes(m)
 	for _, wi := range w {
-		stored += matBytes(wi)
+		t.factorStats.StoredBytes += matBytes(wi)
 	}
-	t.stats = SolveStats{Flops: fc.n, MaxRankFlops: fc.n, Wall: time.Since(start), StoredBytes: stored}
 	return nil
 }
 
-// Solve implements Solver. The result is freshly allocated; batch callers
-// should use SolveTo with a reused destination.
-func (t *Thomas) Solve(b *mat.Matrix) (*mat.Matrix, error) {
-	if err := checkRHS(t.a, b); err != nil {
-		return nil, err
-	}
-	//lint:ignore hotalloc Solve returns a caller-owned result; SolveTo is the reuse path
-	x := mat.New(b.Rows, b.Cols)
-	if err := t.SolveTo(x, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveTo solves A*X = B into the caller-provided x (b's shape, no
-// aliasing). Both substitution sweeps run in place on x, so after the
-// first call has warmed the view-header arena, SolveTo allocates nothing.
-func (t *Thomas) SolveTo(x, b *mat.Matrix) error {
-	if err := checkRHS(t.a, b); err != nil {
-		return err
-	}
-	if x.Rows != b.Rows || x.Cols != b.Cols {
-		return fmt.Errorf("%w: destination %dx%d for %dx%d right-hand side", ErrShape, x.Rows, x.Cols, b.Rows, b.Cols)
-	}
-	if err := t.Factor(); err != nil {
-		return err
-	}
-	start := time.Now()
+// solve runs both substitution sweeps in place on x, so after the first
+// call has warmed the view-header arena, it allocates nothing.
+func (t *Thomas) solve(x, b *mat.Matrix) error {
 	a := t.a
 	n, m, r := a.N, a.M, b.Cols
-	ws := t.ws
+	ws := t.slots[0].ws
 	ws.Reset()
 	var fc flopCounter
 	// Forward sweep: y_0 = Δ_0^{-1} b_0; y_i = Δ_i^{-1}(b_i - L_i y_{i-1}),
@@ -132,6 +95,6 @@ func (t *Thomas) SolveTo(x, b *mat.Matrix) error {
 		mat.MulSub(wsBlockOf(ws, x, m, i), t.w[i], wsBlockOf(ws, x, m, i+1))
 		fc.add(gemmFlops(m, m, r))
 	}
-	t.stats = SolveStats{Flops: fc.n, MaxRankFlops: fc.n, Wall: time.Since(start)}
+	t.solveStats = oneRank(fc.n)
 	return nil
 }

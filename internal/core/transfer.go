@@ -186,6 +186,34 @@ func applyPrefixState(ws *mat.Workspace, m int, s *mat.Matrix, sp mat.PackedA, h
 	return y
 }
 
+// recoverChunk is the recovery sweep RD and ARD share, so their solutions
+// agree bit for bit by construction. From the rank's exclusive prefix
+// (S, H) — sp is S's packed left half, if any — and the broadcast x0 it
+// forms the state entering the rank's chunk, y = S[:, 0:M]*x0 + H, then
+// propagates it through the chunk's elements, y_i = T_i*y_{i-1} + F_i,
+// writing each x_i = y_i[0:M] into x (and x_0 = x0 on the rank that owns
+// block row 0, [lo, hi) being the rank's block rows). The propagation
+// ping-pongs between two arena buffers.
+func recoverChunk(ws *mat.Workspace, fc *flopCounter, x, x0 *mat.Matrix, lo, hi int,
+	s *mat.Matrix, sp mat.PackedA, h *mat.Matrix, elems []element, fs []*mat.Matrix, bs []float64) {
+	m, rhs := x0.Rows, x0.Cols
+	if lo == 0 && hi > 0 {
+		wsBlockOf(ws, x, m, 0).CopyFrom(x0)
+	}
+	y := applyPrefixState(ws, m, s, sp, h, x0, bs)
+	if s != nil {
+		fc.add(gemmFlops(2*m, m, rhs) + addFlops(2*m, rhs))
+	}
+	ybuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
+	for k, e := range elems {
+		dst := ybuf[k&1]
+		applyT(ws, e.top, e.tPack, y, fs[k], dst, m, bs)
+		y = dst
+		fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
+		wsBlockOf(ws, x, m, e.idx).CopyFrom(ws.View(y, 0, 0, m, rhs))
+	}
+}
+
 // reducedMatrixWS assembles the M x M reduced system for x_0 from the
 // global total prefix (S, H) = P_{N-1} and the last block row:
 //
@@ -235,13 +263,9 @@ func checkRHS(a *blocktri.Matrix, b *mat.Matrix) error {
 	return nil
 }
 
-// blockOf returns the M x R view of block row i within a stacked vector.
-func blockOf(b *mat.Matrix, m, i int) *mat.Matrix {
-	return b.View(i*m, 0, m, b.Cols)
-}
-
-// wsBlockOf is blockOf with the view header checked out of a workspace, so
-// hot solve loops create no per-iteration garbage.
+// wsBlockOf returns the M x R view of block row i within a stacked vector,
+// with the view header checked out of a workspace, so hot solve loops
+// create no per-iteration garbage.
 func wsBlockOf(ws *mat.Workspace, b *mat.Matrix, m, i int) *mat.Matrix {
 	return ws.View(b, i*m, 0, m, b.Cols)
 }

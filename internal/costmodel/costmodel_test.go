@@ -21,7 +21,7 @@ func TestThomasModelMatchesMeasured(t *testing.T) {
 		if err := th.Factor(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := th.Stats().Flops, ThomasFactor(tc).Flops; got != want {
+		if got, want := th.FactorStats().Flops, ThomasFactor(tc).Flops; got != want {
 			t.Fatalf("N=%d M=%d: factor flops measured %d model %d", tc.N, tc.M, got, want)
 		}
 		b := a.RandomRHS(tc.R, rng)
@@ -30,6 +30,33 @@ func TestThomasModelMatchesMeasured(t *testing.T) {
 		}
 		if got, want := th.Stats().Flops, ThomasSolve(tc).Flops; got != want {
 			t.Fatalf("N=%d M=%d R=%d: solve flops measured %d model %d", tc.N, tc.M, tc.R, got, want)
+		}
+	}
+}
+
+func TestDenseModelMatchesMeasured(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, tc := range []Params{{N: 1, M: 3, R: 2}, {N: 7, M: 2, R: 1}, {N: 16, M: 5, R: 4}} {
+		a := blocktri.RandomDiagDominant(tc.N, tc.M, rng)
+		d := core.NewDense(a)
+		if err := d.Factor(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.FactorStats().Flops, DenseFactor(tc).Flops; got != want {
+			t.Fatalf("N=%d M=%d: factor flops measured %d model %d", tc.N, tc.M, got, want)
+		}
+		if got, want := d.FactorStats().MaxRankFlops, DenseFactor(tc).MaxRankFlops; got != want {
+			t.Fatalf("N=%d M=%d: factor max-rank flops measured %d model %d", tc.N, tc.M, got, want)
+		}
+		b := a.RandomRHS(tc.R, rng)
+		if _, err := d.Solve(b); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.Stats().Flops, DenseSolve(tc).Flops; got != want {
+			t.Fatalf("N=%d M=%d R=%d: solve flops measured %d model %d", tc.N, tc.M, tc.R, got, want)
+		}
+		if got, want := d.Stats().MaxRankFlops, DenseSolve(tc).MaxRankFlops; got != want {
+			t.Fatalf("N=%d M=%d R=%d: solve max-rank flops measured %d model %d", tc.N, tc.M, tc.R, got, want)
 		}
 	}
 }

@@ -32,79 +32,26 @@ func runE13(quick bool) ([]*Table, error) {
 		"solver", "factor", "per solve", "solve flops", "solve bytes", "stored", "residual")
 	t.Note = "Thomas runs on one rank; RD has no factor phase (it repeats the matrix work every solve)"
 
-	type factoredSolver interface {
-		core.Solver
-		Factor() error
-		FactorStats() core.SolveStats
-		Stats() core.SolveStats
-	}
-	addFactored := func(s factoredSolver) error {
-		factor, err := MeasureErr(0, 1, s.Factor)
-		if err != nil {
-			return fmt.Errorf("%s factor: %w", s.Name(), err)
-		}
-		solve, err := MeasureErr(1, reps, func() error {
-			_, err := s.Solve(b)
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("%s solve: %w", s.Name(), err)
-		}
-		x, err := s.Solve(b)
-		if err != nil {
-			return fmt.Errorf("%s solve: %w", s.Name(), err)
-		}
-		st := s.Stats()
-		t.AddRow(s.Name(), factor, solve, st.Flops, st.Comm.BytesSent,
-			s.FactorStats().StoredBytes, fmt.Sprintf("%.1e", a.RelResidual(x, b)))
-		return nil
-	}
-
-	// Thomas (sequential). Capture the stored-bytes figure right after
-	// Factor, before the solves overwrite the stats.
 	th := core.NewThomas(a)
-	thFactor, err := MeasureErr(0, 1, th.Factor)
-	if err != nil {
-		return nil, fmt.Errorf("Thomas factor: %w", err)
-	}
-	thStored := th.Stats().StoredBytes
-	thSolve, err := MeasureErr(1, reps, func() error {
-		_, err := th.Solve(b)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("Thomas solve: %w", err)
-	}
-	xt, err := th.Solve(b)
-	if err != nil {
-		return nil, fmt.Errorf("Thomas solve: %w", err)
-	}
-	t.AddRow(th.Name()+" (P=1)", thFactor, thSolve, th.Stats().Flops, 0,
-		thStored, fmt.Sprintf("%.1e", a.RelResidual(xt, b)))
-
-	// RD (no reuse).
-	rd := core.NewRD(a, core.Config{World: comm.NewWorld(p)})
-	rdSolve, err := MeasureErr(1, reps, func() error {
-		_, err := rd.Solve(b)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("RD solve: %w", err)
-	}
-	xr, err := rd.Solve(b)
-	if err != nil {
-		return nil, fmt.Errorf("RD solve: %w", err)
-	}
-	t.AddRow(rd.Name(), "-", rdSolve, rd.Stats().Flops, rd.Stats().Comm.BytesSent, 0,
-		fmt.Sprintf("%.1e", a.RelResidual(xr, b)))
-
-	for _, s := range []factoredSolver{
+	for _, s := range []core.Solver{
+		th,
+		core.NewRD(a, core.Config{World: comm.NewWorld(p)}),
 		core.NewARD(a, core.Config{World: comm.NewWorld(p)}),
 		core.NewSpike(a, core.Config{World: comm.NewWorld(p)}),
 	} {
-		if err := addFactored(s); err != nil {
+		r, err := factorAndSolve(s, b, reps)
+		if err != nil {
 			return nil, err
 		}
+		name, factor := s.Name(), any(r.factor)
+		if s == core.Solver(th) {
+			name += " (P=1)"
+		}
+		if r.factorSt.Flops == 0 {
+			factor = "-" // RD: no factor phase
+		}
+		t.AddRow(name, factor, r.solve, r.solveSt.Flops, r.solveSt.Comm.BytesSent,
+			r.factorSt.StoredBytes, fmt.Sprintf("%.1e", a.RelResidual(r.x, b)))
 	}
 	return []*Table{t}, nil
 }

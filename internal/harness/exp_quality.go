@@ -77,15 +77,15 @@ func runE7(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("P=%d: %w", p, err)
 		}
-		rdB, ardB := st.rdStats.Comm.BytesSent, st.ardSolveSt.Comm.BytesSent
+		rdB, ardB := st.rd.solveSt.Comm.BytesSent, st.ard.solveSt.Comm.BytesSent
 		ratio := 0.0
 		if ardB > 0 {
 			ratio = float64(rdB) / float64(ardB)
 		}
-		t.AddRow(p, rdB, st.rdStats.Comm.MsgsSent, ardB, st.ardSolveSt.Comm.MsgsSent,
+		t.AddRow(p, rdB, st.rd.solveSt.Comm.MsgsSent, ardB, st.ard.solveSt.Comm.MsgsSent,
 			ratio,
-			fmt.Sprintf("%.2e s", st.rdStats.MaxSimComm),
-			fmt.Sprintf("%.2e s", st.ardSolveSt.MaxSimComm))
+			fmt.Sprintf("%.2e s", st.rd.solveSt.MaxSimComm),
+			fmt.Sprintf("%.2e s", st.ard.solveSt.MaxSimComm))
 	}
 	return []*Table{t}, nil
 }
@@ -106,17 +106,17 @@ func runE8(quick bool) ([]*Table, error) {
 
 	t := NewTable(fmt.Sprintf("E8: ARD phase breakdown (oscillatory N=%d M=%d P=%d, R=1)", n, m, p),
 		"phase", "time", "flops", "bytes sent")
-	t.AddRow("ARD factor (once)", st.ardFactor, st.ardFactorSt.Flops, st.ardFactorSt.Comm.BytesSent)
-	t.AddRow("ARD solve (per RHS)", st.ardSolve, st.ardSolveSt.Flops, st.ardSolveSt.Comm.BytesSent)
-	t.AddRow("RD solve (per RHS)", st.rdSolve, st.rdStats.Flops, st.rdStats.Comm.BytesSent)
-	t.AddRow("Thomas factor (once, P=1)", st.thFactor, "-", 0)
-	t.AddRow("Thomas solve (per RHS, P=1)", st.thSolve, "-", 0)
+	t.AddRow("ARD factor (once)", st.ard.factor, st.ard.factorSt.Flops, st.ard.factorSt.Comm.BytesSent)
+	t.AddRow("ARD solve (per RHS)", st.ard.solve, st.ard.solveSt.Flops, st.ard.solveSt.Comm.BytesSent)
+	t.AddRow("RD solve (per RHS)", st.rd.solve, st.rd.solveSt.Flops, st.rd.solveSt.Comm.BytesSent)
+	t.AddRow("Thomas factor (once, P=1)", st.th.factor, "-", 0)
+	t.AddRow("Thomas solve (per RHS, P=1)", st.th.solve, "-", 0)
 
 	cross := NewTable("E8b: amortization crossover",
 		"comparison", "crossover R*")
-	gain := seconds(st.rdSolve) - seconds(st.ardSolve)
+	gain := seconds(st.rd.solve) - seconds(st.ard.solve)
 	if gain > 0 {
-		cross.AddRow("ARD total < RD total", fmt.Sprintf("%.2f", seconds(st.ardFactor)/gain))
+		cross.AddRow("ARD total < RD total", fmt.Sprintf("%.2f", seconds(st.ard.factor)/gain))
 	} else {
 		cross.AddRow("ARD total < RD total", "never (no per-solve gain)")
 	}
@@ -202,9 +202,9 @@ func runE10(quick bool) ([]*Table, error) {
 			return nil, err
 		}
 		t.AddRow(prm.N, prm.M, prm.P, prm.R,
-			st.rdStats.Flops, costmodel.RDSolve(prm).Flops,
-			st.ardSolveSt.Flops, costmodel.ARDSolve(prm).Flops,
-			st.rdSolve, time.Duration(machine.Time(costmodel.RDSolve(prm))*1e9))
+			st.rd.solveSt.Flops, costmodel.RDSolve(prm).Flops,
+			st.ard.solveSt.Flops, costmodel.ARDSolve(prm).Flops,
+			st.rd.solve, time.Duration(machine.Time(costmodel.RDSolve(prm))*1e9))
 	}
 	t.Note = "measured flop counters must equal the model exactly (double-entry); wall vs predicted agrees up to scheduling overhead since ranks timeshare one host"
 	return []*Table{t}, nil

@@ -44,12 +44,12 @@ func runE1(quick bool) ([]*Table, error) {
 	t := NewTable(fmt.Sprintf("E1: total time for R sequential solves (oscillatory N=%d M=%d P=%d)", n, m, p),
 		"R", "RD total", "ARD total", "speedup", "model speedup")
 	t.Note = fmt.Sprintf("per-call: RD solve %v | ARD factor %v | ARD solve %v",
-		st.rdSolve, st.ardFactor, st.ardSolve)
+		st.rd.solve, st.ard.factor, st.ard.solve)
 	params := costmodel.Params{N: n, M: m, P: p, R: 1}
 	var xs, rdYs, ardYs []float64
 	for _, r := range rs {
-		rdTotal := time.Duration(r) * st.rdSolve
-		ardTotal := st.ardFactor + time.Duration(r)*st.ardSolve
+		rdTotal := time.Duration(r) * st.rd.solve
+		ardTotal := st.ard.factor + time.Duration(r)*st.ard.solve
 		t.AddRow(r, rdTotal, ardTotal,
 			seconds(rdTotal)/seconds(ardTotal),
 			costmodel.PredictedSpeedup(params, r))
@@ -97,8 +97,8 @@ func runE1(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E1b ARD direct (R=%d): %w", r, err)
 		}
-		check.AddRow(r, rdDirect, time.Duration(r)*st.rdSolve,
-			ardDirect, st.ardFactor+time.Duration(r)*st.ardSolve)
+		check.AddRow(r, rdDirect, time.Duration(r)*st.rd.solve,
+			ardDirect, st.ard.factor+time.Duration(r)*st.ard.solve)
 	}
 	return []*Table{t, check}, nil
 }
@@ -130,7 +130,7 @@ func runE2(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("M=%d: %w", m, err)
 		}
-		perM[m] = times{seconds(st.rdSolve), seconds(st.ardFactor), seconds(st.ardSolve)}
+		perM[m] = times{seconds(st.rd.solve), seconds(st.ard.factor), seconds(st.ard.solve)}
 	}
 	chart := NewChart("Figure E2: measured ARD speedup vs R", "R", "speedup")
 	chart.LogX = true
@@ -180,7 +180,7 @@ func runE3(quick bool) ([]*Table, error) {
 		prm := costmodel.Params{N: n, M: m, P: p, R: 1}
 		rdC := costmodel.RDSolve(prm)
 		ardC := costmodel.ARDSolve(prm)
-		t.AddRow(p, st.rdSolve, st.ardSolve,
+		t.AddRow(p, st.rd.solve, st.ard.solve,
 			time.Duration(machine.Time(rdC)*1e9),
 			time.Duration(machine.Time(ardC)*1e9),
 			rdC.Rounds)
@@ -208,12 +208,12 @@ func runE4(quick bool) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("N=%d: %w", n, err)
 		}
-		t.AddRow(n, st.rdSolve, st.ardFactor, st.ardSolve, st.thSolve,
-			st.rdStats.Flops, st.ardSolveSt.Flops)
+		t.AddRow(n, st.rd.solve, st.ard.factor, st.ard.solve, st.th.solve,
+			st.rd.solveSt.Flops, st.ard.solveSt.Flops)
 		xs = append(xs, float64(n))
-		rdYs = append(rdYs, seconds(st.rdSolve))
-		ardYs = append(ardYs, seconds(st.ardSolve))
-		thYs = append(thYs, seconds(st.thSolve))
+		rdYs = append(rdYs, seconds(st.rd.solve))
+		ardYs = append(ardYs, seconds(st.ard.solve))
+		thYs = append(thYs, seconds(st.th.solve))
 	}
 	chart.AddSeries("RD", xs, rdYs)
 	chart.AddSeries("ARD", xs, ardYs)
@@ -243,8 +243,8 @@ func runE5(quick bool) ([]*Table, error) {
 		prm := costmodel.Params{N: n, M: m, P: p, R: 1}
 		modelRatio := float64(costmodel.RDSolve(prm).MaxRankFlops) /
 			float64(costmodel.ARDSolve(prm).MaxRankFlops)
-		t.AddRow(m, st.rdSolve, st.ardSolve,
-			seconds(st.rdSolve)/seconds(st.ardSolve), modelRatio)
+		t.AddRow(m, st.rd.solve, st.ard.solve,
+			seconds(st.rd.solve)/seconds(st.ard.solve), modelRatio)
 	}
 	return []*Table{t}, nil
 }

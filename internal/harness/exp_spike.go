@@ -32,47 +32,20 @@ func runE11(quick bool) ([]*Table, error) {
 	a := workload.Build(workload.Oscillatory, n, m, 14)
 	b := a.RandomRHS(1, randFor(15))
 
-	ard := core.NewARD(a, core.Config{World: comm.NewWorld(p)})
-	ardFactor, err := MeasureErr(0, 1, ard.Factor)
-	if err != nil {
-		return nil, fmt.Errorf("ARD factor: %w", err)
+	for _, row := range []struct {
+		name string
+		s    core.Solver
+	}{
+		{"ARD", core.NewARD(a, core.Config{World: comm.NewWorld(p)})},
+		{"SPIKE", core.NewSpike(a, core.Config{World: comm.NewWorld(p)})},
+		{"Thomas (P=1)", core.NewThomas(a)},
+	} {
+		r, err := factorAndSolve(row.s, b, reps)
+		if err != nil {
+			return nil, err
+		}
+		perf.AddRow(row.name, r.factor, r.solve, r.solveSt.Flops, r.solveSt.Comm.BytesSent)
 	}
-	ardSolve, err := MeasureErr(1, reps, func() error {
-		_, err := ard.Solve(b)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ARD solve: %w", err)
-	}
-	perf.AddRow("ARD", ardFactor, ardSolve, ard.Stats().Flops, ard.Stats().Comm.BytesSent)
-
-	sp := core.NewSpike(a, core.Config{World: comm.NewWorld(p)})
-	spFactor, err := MeasureErr(0, 1, sp.Factor)
-	if err != nil {
-		return nil, fmt.Errorf("SPIKE factor: %w", err)
-	}
-	spSolve, err := MeasureErr(1, reps, func() error {
-		_, err := sp.Solve(b)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("SPIKE solve: %w", err)
-	}
-	perf.AddRow("SPIKE", spFactor, spSolve, sp.Stats().Flops, sp.Stats().Comm.BytesSent)
-
-	th := core.NewThomas(a)
-	thFactor, err := MeasureErr(0, 1, th.Factor)
-	if err != nil {
-		return nil, fmt.Errorf("Thomas factor: %w", err)
-	}
-	thSolve, err := MeasureErr(1, reps, func() error {
-		_, err := th.Solve(b)
-		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("Thomas solve: %w", err)
-	}
-	perf.AddRow("Thomas (P=1)", thFactor, thSolve, th.Stats().Flops, 0)
 	perf.Note = "ARD's solve phase moves less data per round (2M vs SPIKE's interface gathers) and does O(M^2) work per row; SPIKE's reduced phase is O(P) rather than O(log P)"
 
 	// Accuracy contrast across families.

@@ -20,88 +20,53 @@ func serialKernels() func() {
 	return func() { mat.SetParallel(old) }
 }
 
-// solverTimes holds the average per-call times of the repeated-solve
-// strategies on one matrix: classic RD per solve, ARD factor (once), ARD
-// per solve, and sequential Thomas factor and per solve, plus the
-// instrumentation of the last run of each.
-type solverTimes struct {
-	rdSolve     time.Duration
-	ardFactor   time.Duration
-	ardSolve    time.Duration
-	thFactor    time.Duration
-	thSolve     time.Duration
-	rdStats     core.SolveStats
-	ardFactorSt core.SolveStats
-	ardSolveSt  core.SolveStats
+// timing is one solver's measured factor time and best per-solve time,
+// with the stats of each phase and the last solution.
+type timing struct {
+	factor, solve     time.Duration
+	factorSt, solveSt core.SolveStats
+	x                 *mat.Matrix
 }
 
+// factorAndSolve times s's Factor once and its SolveTo for b over reps
+// calls after one warm-up. A solver failure (singular diagonal, shape
+// mismatch) aborts the measurement and is returned to the experiment
+// runner.
+func factorAndSolve(s core.Solver, b *mat.Matrix, reps int) (timing, error) {
+	var t timing
+	var err error
+	if t.factor, err = MeasureErr(0, 1, s.Factor); err != nil {
+		return t, fmt.Errorf("%s factor: %w", s.Name(), err)
+	}
+	t.x = mat.New(b.Rows, b.Cols)
+	if t.solve, err = MeasureErr(1, reps, func() error { return s.SolveTo(t.x, b) }); err != nil {
+		return t, fmt.Errorf("%s solve: %w", s.Name(), err)
+	}
+	t.factorSt, t.solveSt = s.FactorStats(), s.Stats()
+	return t, nil
+}
+
+// solverTimes holds the timings of the repeated-solve strategies on one
+// matrix: classic RD, ARD, and sequential Thomas.
+type solverTimes struct{ rd, ard, th timing }
+
 // measureSolvers times the strategies on matrix a with p ranks and r
-// right-hand-side columns per call, averaging solve times over reps. A
-// solver failure (singular diagonal, shape mismatch) aborts the
-// measurement and is returned to the experiment runner.
+// right-hand-side columns per call, taking solve times over reps calls.
 func measureSolvers(a *blocktri.Matrix, p, r, reps int) (solverTimes, error) {
-	var st solverTimes
 	rng := rand.New(rand.NewSource(int64(a.N*1000003 + a.M*101 + p)))
 	b := a.RandomRHS(r, rng)
-
-	rd := core.NewRD(a, core.Config{World: comm.NewWorld(p)})
-	d, err := MeasureErr(1, reps, func() error {
-		_, err := rd.Solve(b)
-		return err
-	})
-	if err != nil {
-		return st, fmt.Errorf("RD solve: %w", err)
-	}
-	st.rdSolve = d
-	st.rdStats = rd.Stats()
-
-	d, err = MeasureErr(0, 1, func() error {
-		tmp := core.NewARD(a, core.Config{World: comm.NewWorld(p)})
-		if err := tmp.Factor(); err != nil {
-			return err
+	var ts [3]timing
+	for i, s := range []core.Solver{
+		core.NewRD(a, core.Config{World: comm.NewWorld(p)}),
+		core.NewARD(a, core.Config{World: comm.NewWorld(p)}),
+		core.NewThomas(a),
+	} {
+		var err error
+		if ts[i], err = factorAndSolve(s, b, reps); err != nil {
+			return solverTimes{}, err
 		}
-		st.ardFactorSt = tmp.FactorStats()
-		return nil
-	})
-	if err != nil {
-		return st, fmt.Errorf("ARD factor: %w", err)
 	}
-	st.ardFactor = d
-	ard := core.NewARD(a, core.Config{World: comm.NewWorld(p)})
-	if err := ard.Factor(); err != nil {
-		return st, fmt.Errorf("ARD factor: %w", err)
-	}
-	d, err = MeasureErr(1, reps, func() error {
-		_, err := ard.Solve(b)
-		return err
-	})
-	if err != nil {
-		return st, fmt.Errorf("ARD solve: %w", err)
-	}
-	st.ardSolve = d
-	st.ardSolveSt = ard.Stats()
-
-	d, err = MeasureErr(0, 1, func() error {
-		tmp := core.NewThomas(a)
-		return tmp.Factor()
-	})
-	if err != nil {
-		return st, fmt.Errorf("Thomas factor: %w", err)
-	}
-	st.thFactor = d
-	th := core.NewThomas(a)
-	if err := th.Factor(); err != nil {
-		return st, fmt.Errorf("Thomas factor: %w", err)
-	}
-	d, err = MeasureErr(1, reps, func() error {
-		_, err := th.Solve(b)
-		return err
-	})
-	if err != nil {
-		return st, fmt.Errorf("Thomas solve: %w", err)
-	}
-	st.thSolve = d
-	return st, nil
+	return solverTimes{rd: ts[0], ard: ts[1], th: ts[2]}, nil
 }
 
 // seconds converts a duration to float seconds for ratio arithmetic.

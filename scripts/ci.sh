@@ -27,6 +27,10 @@ BLOCKTRI_NOAVX512=1 go test ./internal/mat ./internal/core ./internal/serve
 # seeded with genuine factor files (FuzzLoadFactor). It must reject or
 # load every input, never panic, and whatever it loads must solve.
 go test ./internal/core -run '^$' -fuzz '^FuzzLoadFactor$' -fuzztime 10s
+# Differential sweep (make verify): every solver, Dense LU included, over
+# random (N, M, P, R) in every problem family, N < P included, each held
+# to its residual bound, and ARD bit-identical to RD. Under a second.
+go run ./cmd/blocktri-verify -trials 25
 # Chaos smoke: a fixed-seed fault-injection campaign over every solver.
 # The invariant (docs/RESILIENCE.md): each trial ends in a correct solution
 # or a clean typed error — never a hang, never a silent wrong answer.
