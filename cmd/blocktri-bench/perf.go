@@ -142,8 +142,8 @@ func measureARDSolve() ([]perfEntry, error) {
 // shapes (16 to 128), the skinny-panel shapes the panelized ARD solve
 // phase issues — a 32x32 transfer half against a 32xR right-hand-side
 // panel — and the narrow tier below one 8-column panel, where the unpacked
-// product reads A and B in place: the 16x32 applyT half-product against
-// one and four columns.
+// product reads A and B in place: an element step's 16x32 [TL TR]
+// half-product, unpacked, against one and four columns.
 func measureGEMM() ([]perfEntry, error) {
 	var entries []perfEntry
 	shapes := []struct {

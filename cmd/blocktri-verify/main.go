@@ -36,10 +36,13 @@ func main() {
 	checks := 0
 	for _, fam := range workload.Families {
 		for trial := 0; trial < *trials; trial++ {
+			// M up to 17 and R up to 9 reach every layout ARD keeps an
+			// element in (unpacked, [TL TR] packed, both operands packed)
+			// and right-hand panels from narrow to one full 8-column panel.
 			n := 1 + rng.Intn(*maxN)
-			m := 1 + rng.Intn(5)
+			m := 1 + rng.Intn(17)
 			p := 1 + rng.Intn(6)
-			r := 1 + rng.Intn(3)
+			r := 1 + rng.Intn(9)
 			a := workload.Build(fam, n, m, rng.Int63())
 			b := a.RandomRHS(r, rng)
 

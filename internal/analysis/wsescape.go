@@ -85,7 +85,7 @@ func eachFuncWithType(file *ast.File, fn func(*ast.FuncType, *ast.FieldList, *as
 // wsCheckout classifies a call that yields a Workspace checkout on a
 // plain-ident workspace variable: a direct checkout method, or —
 // interprocedurally — a summarized helper whose first result is a checkout
-// of the workspace argument (the buildFInto/reducedMatrixWS idiom). Returns
+// of the workspace argument (the reducedMatrixWS/decodeHMatWS idiom). Returns
 // the workspace variable's object, the method or helper name, and the
 // number of call results.
 func wsCheckout(m *Module, info *types.Info, call *ast.CallExpr) (types.Object, string, int) {

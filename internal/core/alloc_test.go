@@ -26,7 +26,7 @@ func TestARDSolveToAllocationFree(t *testing.T) {
 	mat.SetParallel(false)
 	rng := rand.New(rand.NewSource(7))
 	a := blocktri.RandomDiagDominant(64, 8, rng)
-	for _, rhs := range []int{1, 64, 256} {
+	for _, rhs := range []int{1, 4, 64, 256} {
 		s := NewARD(a, Config{World: comm.NewWorld(4)})
 		if err := s.Factor(); err != nil {
 			t.Fatal(err)

@@ -11,20 +11,21 @@ import (
 // contribution. It splits the computation that classic RD repeats on every
 // solve into:
 //
-//   - Factor, once per matrix: build each transfer matrix's M x 2M top
-//     half (its [I 0] bottom is structure, never stored), run the local
-//     scan through the structured compose and the cross-rank scan on the
-//     matrix halves, and store every intermediate the right-hand-side path
-//     will need — the per-rank local total S, the per-round Kogge-Stone
-//     partial products, the final exclusive prefix S, the LU factors of
-//     each super-diagonal block, and the factored M x M reduced system.
-//     Cost O(M^3 (N/P + log P)).
+//   - Factor, once per matrix: build each element's two operands, the
+//     transfer matrix's M x 2M top half (its [I 0] bottom is structure,
+//     never stored) and the inverse of the super-diagonal block, run the
+//     local scan through the structured compose and the cross-rank scan on
+//     the matrix halves, and store every intermediate the right-hand-side
+//     path will need — the element operands, the per-rank local total S,
+//     the per-round Kogge-Stone partial products, the final exclusive
+//     prefix S, and the factored M x M reduced system. Cost
+//     O(M^3 (N/P + log P)).
 //
-//   - Solve, per right-hand side (batch): only the vector halves move:
-//     building F costs O(M^2 R) per block row, every scan combine is a
-//     stored-matrix times vector-block product, and each Kogge-Stone round
-//     exchanges 2M*R words instead of (2M)^2 + 2M*R. Cost
-//     O(M^2 R (N/P + log P)).
+//   - Solve, per right-hand side (batch): only the vector halves move.
+//     Each element step is two stored-matrix products, h := [TL TR]*h +
+//     U^{-1}*b, read from b in place, every scan combine is a stored-matrix
+//     times vector-block product, and each Kogge-Stone round exchanges
+//     2M*R words instead of (2M)^2 + 2M*R. Cost O(M^2 R (N/P + log P)).
 //
 // Solving with R right-hand sides therefore costs one M^3 term plus R
 // M^2 terms, versus RD's R separate M^3 terms — the O(R) improvement the
@@ -63,7 +64,7 @@ type ardRound struct {
 // ardRankState is everything one rank stores between Factor and Solve.
 type ardRankState struct {
 	lo, hi, first int
-	elems         []element   // T top halves + U factorizations
+	elems         []element   // [TL TR] and U^{-1}, kept by element.keep
 	localTotalS   *mat.Matrix // S of the local reduce (nil if no elements)
 	rounds        []ardRound
 	piS           *mat.Matrix // final exclusive cross-rank prefix S (nil = identity)
@@ -73,10 +74,6 @@ type ardRankState struct {
 	// falling to the unpacked kernel) on every call.
 	localTotalSPack mat.PackedA
 	piSLeftPack     mat.PackedA // piS[:, 0:M], the applyPrefixState operand
-
-	// fs holds the per-element F vectors of the solve in flight, checked
-	// out of the rank's arena and rewritten per solve.
-	fs []*mat.Matrix
 }
 
 // NewARD returns an accelerated recursive doubling solver for a over
@@ -163,8 +160,8 @@ func (s *ARD) buildPacks() {
 }
 
 // storedBytes totals the factor-phase state retained across solves: each
-// element's share of its rank's stores (T's top half, its pack, and U's LU
-// factors and pivots), every distinct stored scan matrix with its pack,
+// element's share of its rank's store (its two operands, each a pack or a
+// matrix), every distinct stored scan matrix with its pack,
 // the exclusive prefix's left-half pack, the negated last-row packs, and
 // the reduced-system factorization. The Kogge-Stone snapshots share
 // matrices and packs by pointer, so each is counted once.
@@ -175,7 +172,7 @@ func (s *ARD) storedBytes() int64 {
 		if st == nil {
 			continue
 		}
-		total += int64(len(st.elems)) * (8*int64(2*m*m+mat.PackALen(m, 2*m)) + luBytes(m))
+		total += int64(len(st.elems)) * 8 * int64(elementFloats(m))
 		seen := make(map[*mat.Matrix]bool)
 		add := func(x *mat.Matrix, p mat.PackedA) {
 			if x != nil && !seen[x] {
@@ -204,18 +201,15 @@ func (s *ARD) factorRank(c *comm.Comm) (int64, error) {
 	s.rk[r] = st
 	var fc flopCounter
 
-	// Local elements and the matrix-only local scan total. The elements'
-	// U factors, T top halves and packs are carved from three stores, one
-	// per kind, each sized once from the element count: a solve streams
-	// the U factors and the packs, and a store per kind keeps each stream
-	// contiguous. The running total alternates between two scratch
-	// matrices of the rank's arena (the next phase's Reset recycles them)
-	// and is cloned out at the end.
+	// Local elements and the matrix-only local scan total. Each element is
+	// built in a scratch arena reset per element and kept in the rank's
+	// element store; the local scan composes on the kept pack where there
+	// is one, and on the scratch matrix otherwise. The running total
+	// alternates between two scratch matrices of the rank's arena (the
+	// next phase's Reset recycles them) and is cloned out at the end.
 	ne := max(hi-first, 0)
-	lus, tops, packs := mat.NewWorkspace(), mat.NewWorkspace(), mat.NewWorkspace()
-	lus.Reserve(ne*m*m, ne*m)
-	tops.Reserve(ne*2*m*m, 0)
-	packs.Reserve(ne*mat.PackALen(m, 2*m), 0)
+	store, build := newElementStore(m, ne), mat.NewWorkspace()
+	build.Reserve(4*m*m, m) // buildElement's M x 3M buffer and U's LU
 	st.elems = make([]element, 0, ne)
 	ws := s.slots[r].ws
 	sbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, 2*m), ws.GetNoClear(2*m, 2*m)}
@@ -223,28 +217,25 @@ func (s *ARD) factorRank(c *comm.Comm) (int64, error) {
 	var total *mat.Matrix
 	var buildErr error
 	for i := first; i < hi; i++ {
-		e, err := buildElement(lus, tops.GetNoClear(m, 2*m), a, i)
+		build.Reset()
+		e, err := buildElement(build, a, i)
 		if err != nil {
 			buildErr = err
 			break
 		}
-		fc.add(luFlops(m) + luSolveFlops(m, m))
-		if a.Lower[i-1] != nil {
-			fc.add(luSolveFlops(m, m))
-		}
-		e.tPack = mat.PackAInto(packs.Floats(mat.PackALen(m, 2*m)), 1, e.top)
-		st.elems = append(st.elems, e)
+		fc.add(buildFlops(a, i-1))
+		kept := e.keep(store)
+		st.elems = append(st.elems, kept)
 		if total != nil {
 			fc.add(gemmFlops(2*m, 2*m, 2*m))
 		}
 		dst := sbuf[len(st.elems)&1]
-		composeT(ws, dst, e.top, e.tPack, total, bs)
+		composeT(ws, dst, e.t.a, kept.t.p, total, bs)
 		total = dst
 	}
 	if total != nil {
 		st.localTotalS = total.Clone()
 	}
-	st.fs = make([]*mat.Matrix, len(st.elems))
 	if !agree(c, buildErr) {
 		return fc.n, buildErr
 	}
@@ -340,26 +331,17 @@ func (s *ARD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	// panel, and MulAddPacked overwrites the scratch per call.
 	bs := ws.Floats(mat.PackBLen(2*m, rhs))
 
-	// Build the F vectors for this right-hand side and fold them into the
-	// local total H using the stored transfer matrices. The fold ping-pongs
-	// between two arena buffers and applies T through its [[TL TR],[I 0]]
-	// block structure: the solve phase is O(M^2) work per element, so both
-	// allocation and the dense 2M x 2M product would dominate.
-	fs := st.fs
+	// Fold the chunk's elements into the local total H, h := T*h + F, from
+	// the zero state: each step reads its right-hand block in place through
+	// the stored operands, and the fold ping-pongs between two arena
+	// buffers.
 	hbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
-	hcur := 0
 	var localTotalH *mat.Matrix
-	for k, e := range st.elems {
-		fs[k] = e.buildFInto(ws, m, wsBlockOf(ws, b, m, e.idx-1))
-		fc.add(luSolveFlops(m, rhs))
-		if localTotalH == nil {
-			localTotalH = fs[k]
-			continue
-		}
-		fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-		dst := hbuf[hcur]
-		hcur ^= 1
-		applyT(ws, e.top, e.tPack, localTotalH, fs[k], dst, m, bs)
+	for k := range st.elems {
+		e := &st.elems[k]
+		dst := hbuf[k&1]
+		e.step(ws, dst, localTotalH, wsBlockOf(ws, b, m, e.idx-1), bs)
+		fc.add(stepFlops(m, rhs, localTotalH == nil))
 		localTotalH = dst
 	}
 
@@ -431,6 +413,6 @@ func (s *ARD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 		fc.add(luSolveFlops(m, rhs))
 	}
 	c.BcastMatrixInto(p-1, x0)
-	recoverChunk(ws, &fc, x, x0, st.lo, st.hi, st.piS, st.piSLeftPack, preH, st.elems, fs, bs)
+	recoverChunk(ws, &fc, x, b, x0, st.lo, st.hi, st.piS, st.piSLeftPack, preH, st.elems, bs)
 	return fc.n, nil
 }

@@ -20,17 +20,23 @@ import (
 // factor state; loading requires a world of the same size P the state was
 // produced with, and a matrix with the same (N, M) — the right-hand-side
 // path re-reads the matrix's last block row, so the caller must supply
-// the same matrix the factorization was computed for. Every element's
-// transfer matrix is written whole, [TL TR; I 0] as one 2M x 2M section,
-// although the solver keeps only its top half. A factor file is untrusted
-// input: LoadFactor checks every section's shape and every rank's layout
-// against (N, M, P) and the schedule before it builds anything.
+// the same matrix the factorization was computed for. Every element is
+// written as its whole transfer matrix, [TL TR; I 0] as one 2M x 2M
+// section, and the LU factors of its super-diagonal block, although the
+// solver keeps [TL TR] and U^{-1} instead: SaveFactor rebuilds both
+// sections from the matrix, and LoadFactor builds U^{-1} from the stored
+// LU and keeps neither the LU nor T's bottom half. A factor file is
+// untrusted input: LoadFactor checks every section's shape and every
+// rank's layout against (N, M, P) and the schedule, and rejects an LU
+// with a zero on U's diagonal, before it builds anything.
 
 // ardMagic identifies the on-disk ARD factor format ("ARF1").
 const ardMagic = 0x41524631
 
 // SaveFactor serializes the factor-phase state. Factor is run first if it
-// has not completed. It returns the number of bytes written.
+// has not completed. The element sections are rebuilt from the solver's
+// matrix, exactly as Factor builds them. It returns the number of bytes
+// written.
 func (s *ARD) SaveFactor(w io.Writer) (int64, error) {
 	if err := s.Factor(); err != nil {
 		return 0, err
@@ -51,16 +57,25 @@ func (s *ARD) SaveFactor(w io.Writer) (int64, error) {
 	}
 	m := s.a.M
 	ws, t := mat.NewWorkspace(), mat.New(2*m, 2*m)
-	for _, st := range s.rk {
+	for r, st := range s.rk {
 		for _, v := range []int{st.lo, st.hi, st.first, len(st.elems)} {
 			enc.u64(uint64(v))
 		}
-		for _, e := range st.elems {
+		lo, _ := PartRange(s.a.N, s.world.P, r)
+		for k, e := range st.elems {
+			// Factor built the rank's element k as element first+k, and
+			// checked that its U is nonsingular.
+			i := max(lo, 1) + k
 			ws.Reset()
-			composeT(ws, t, e.top, mat.PackedA{}, nil, nil)
+			be, err := buildElement(ws, s.a, i)
+			if err != nil {
+				return enc.n, err
+			}
+			lu, _ := ws.LU(s.a.Upper[i-1])
+			composeT(ws, t, be.t.a, mat.PackedA{}, nil, nil)
 			enc.u64(uint64(e.idx))
 			enc.matrix(t)
-			enc.floats(e.luU.Encode())
+			enc.floats(lu.Encode())
 		}
 		enc.matrixOpt(st.localTotalS)
 		enc.u64(uint64(len(st.rounds)))
@@ -124,8 +139,9 @@ func LoadFactor(a *blocktri.Matrix, cfg Config, r io.Reader) (*ARD, error) {
 // layout Factor produces for (N, M, P) and the schedule: the block range,
 // the element count and indices, every section's shape, the Kogge-Stone
 // round distances, and which scan matrices are the identity. Each element
-// keeps its transfer matrix's top half and gets the pack Factor builds, and
-// the rank gets its slots for the solve's F vectors.
+// is kept as Factor keeps it, from its transfer matrix's top half and
+// U^{-1} solved from the stored LU; the substitution's per-column
+// arithmetic does not depend on the width, so U^{-1} has Factor's bits.
 func loadRank(dec *decoder, a *blocktri.Matrix, sched prefix.Schedule, p, rank int) *ardRankState {
 	m := a.M
 	lo, hi := PartRange(a.N, p, rank)
@@ -135,20 +151,39 @@ func loadRank(dec *decoder, a *blocktri.Matrix, sched prefix.Schedule, p, rank i
 		dec.fail("core: layout lo=%d hi=%d first=%d with %d elements, want lo=%d hi=%d first=%d with %d",
 			st.lo, st.hi, st.first, got, lo, hi, first, ne)
 	}
+	store, uInv := newElementStore(m, ne), mat.New(m, m)
 	for k := 0; k < ne && dec.err == nil; k++ {
-		e := element{idx: dec.intVal()}
-		if e.idx != first+k {
-			dec.fail("core: element %d has index %d", first+k, e.idx)
+		idx := dec.intVal()
+		if idx != first+k {
+			dec.fail("core: element %d has index %d", first+k, idx)
 		}
-		if t := dec.sMatrix(m, true); t != nil {
-			e.top = t.View(0, 0, m, 2*m).Clone()
-			e.tPack = mat.NewPackedA(1, e.top)
+		t, lu := dec.sMatrix(m, true), dec.lu(m)
+		if dec.err != nil {
+			break
 		}
-		e.luU = dec.lu(m)
-		st.elems = append(st.elems, e)
+		uInv.SetIdentity()
+		lu.SolveInPlace(uInv)
+		e := element{idx: idx, t: operand{a: t.View(0, 0, m, 2*m)}, u: operand{a: uInv}}
+		st.elems = append(st.elems, e.keep(store))
 	}
-	st.fs = make([]*mat.Matrix, len(st.elems))
-	st.localTotalS = dec.sMatrix(m, ne > 0)
+	// Factor's round snapshots repeat the local total and earlier entries
+	// by pointer; a restored rank shares bit-identical sections the same
+	// way, so it stores and packs each matrix once, as Factor does.
+	var kept []*mat.Matrix
+	scan := func(present bool) *mat.Matrix {
+		x := dec.sMatrix(m, present)
+		if x == nil {
+			return nil
+		}
+		for _, k := range kept {
+			if sameBits(k, x) {
+				return k
+			}
+		}
+		kept = append(kept, x)
+		return x
+	}
+	st.localTotalS = scan(ne > 0)
 	// Replay Factor's scan on presence flags alone: which snapshots hold a
 	// matrix and which the identity depends only on which ranks own
 	// elements, and the solve phase's combines rely on exactly that. An
@@ -176,13 +211,24 @@ func loadRank(dec *decoder, a *blocktri.Matrix, sched prefix.Schedule, p, rank i
 		if dist := dec.intVal(); dist != 1<<k {
 			dec.fail("core: scan round distance %d, want %d", dist, 1<<k)
 		}
-		st.rounds = append(st.rounds, ardRound{dist: 1 << k, preS: dec.sMatrix(m, w[0]), accS: dec.sMatrix(m, w[1])})
+		st.rounds = append(st.rounds, ardRound{dist: 1 << k, preS: scan(w[0]), accS: scan(w[1])})
 	}
-	st.piS = dec.sMatrix(m, pre[rank])
+	st.piS = scan(pre[rank])
 	if dec.err != nil {
 		dec.err = fmt.Errorf("core: factor rank %d: %w", rank, dec.err)
 	}
 	return st
+}
+
+// sameBits reports whether two contiguous matrices of one shape hold the
+// same bits, signed zeros and NaN payloads included.
+func sameBits(a, b *mat.Matrix) bool {
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // encoder writes length-prefixed float64 sections in little-endian form.
@@ -314,7 +360,9 @@ func (d *decoder) sMatrix(m int, present bool) *mat.Matrix {
 }
 
 // lu reads an LU section that must factor an m x m matrix. The pivots are
-// checked first: mat.DecodeLU trusts them.
+// checked first: mat.DecodeLU trusts them. A zero on U's diagonal is
+// rejected: Factor never stores one, and solving through it fills the
+// answer with NaN.
 func (d *decoder) lu(m int) *mat.LU {
 	fs := d.floats()
 	switch {
@@ -329,6 +377,12 @@ func (d *decoder) lu(m int) *mat.LU {
 		//lint:ignore floateq integrality check on an untrusted pivot index; Trunc equality is the exact property validated.
 		if p != math.Trunc(p) || p < 0 || p >= float64(m) {
 			d.fail("core: LU pivot %v out of range", p)
+			return nil
+		}
+	}
+	for i := 0; i < m; i++ {
+		if fs[2+m+i*m+i] == 0 {
+			d.fail("core: LU section has a zero on U's diagonal at %d", i)
 			return nil
 		}
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"strings"
@@ -47,6 +49,54 @@ func TestARDFactorSaveLoadRoundTrip(t *testing.T) {
 		}
 		if loaded.FactorStats().PrefixGrowth != orig.FactorStats().PrefixGrowth {
 			t.Fatal("growth diagnostic not preserved")
+		}
+	}
+}
+
+// TestLoadFactorMatchesFreshFactor loads factor files at block sizes
+// that reach every element layout and requires the loaded solver to keep
+// each element as Factor does and to solve bit for bit as a fresh Factor.
+// SaveFactor's bytes are pinned (TestSaveFactorBytesStable), so this also
+// covers files written when elements kept T's top half and U's LU.
+func TestLoadFactorMatchesFreshFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(408))
+	for _, m := range []int{3, 5, 16} {
+		a := blocktri.RandomDiagDominant(10, m, rng)
+		fresh := NewARD(a, Config{World: comm.NewWorld(3)})
+		var buf bytes.Buffer
+		if _, err := fresh.SaveFactor(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadFactor(a, Config{World: comm.NewWorld(3)}, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, st := range fresh.rk {
+			for k, e := range st.elems {
+				l := loaded.rk[r].elems[k]
+				if (l.t.a != nil) != (e.t.a != nil) || l.t.p.Valid() != e.t.p.Valid() ||
+					(l.u.a != nil) != (e.u.a != nil) || l.u.p.Valid() != e.u.p.Valid() {
+					t.Fatalf("M=%d rank %d element %d: loaded layout differs from Factor's", m, r, k)
+				}
+			}
+		}
+		if loaded.FactorStats().StoredBytes != fresh.FactorStats().StoredBytes {
+			t.Errorf("M=%d: loaded solver stores %d bytes, fresh %d", m,
+				loaded.FactorStats().StoredBytes, fresh.FactorStats().StoredBytes)
+		}
+		for _, r := range []int{1, 9} {
+			b := a.RandomRHS(r, rng)
+			want, err := fresh.Solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.Solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("M=%d R=%d: loaded factor solves differently from a fresh Factor", m, r)
+			}
 		}
 	}
 }
@@ -236,46 +286,71 @@ func TestLoadFactorRejectsMisshapenSections(t *testing.T) {
 		return lu
 	}
 
-	// The repro: the first element's T header rewritten from 8x8 to 1x64,
-	// which keeps the section length.
+	// Byte edits reach what no in-memory tamper can: SaveFactor rebuilds
+	// every element section from the matrix. sections finds each section
+	// whose length word and first word are those given; a section's word w
+	// sits 8*(1+w) bytes past its offset.
 	saved := savedTampered(t, a, p, prefix.KoggeStone, func(*ARD) {})
-	var header []byte
-	for _, v := range []uint64{uint64(2 + 4*m*m), math.Float64bits(float64(2 * m)), math.Float64bits(float64(2 * m))} {
-		header = binary.LittleEndian.AppendUint64(header, v)
+	sections := func(words int, first float64) []int {
+		var pat []byte
+		for _, v := range []uint64{uint64(words), math.Float64bits(first)} {
+			pat = binary.LittleEndian.AppendUint64(pat, v)
+		}
+		var at []int
+		for off := 0; ; {
+			k := bytes.Index(saved[off:], pat)
+			if k < 0 {
+				return at
+			}
+			at = append(at, off+k)
+			off += k + len(pat)
+		}
 	}
-	at := bytes.Index(saved, header)
-	if at < 0 {
-		t.Fatal("no 2M x 2M transfer section in the saved factor")
+	transfer, lus := sections(2+4*m*m, float64(2*m)), sections(mat.EncodedLULen(m), float64(m))
+	if len(transfer) == 0 || len(lus) < 2 {
+		t.Fatalf("found %d transfer and %d LU sections in the saved factor", len(transfer), len(lus))
 	}
-	repro := append([]byte(nil), saved...)
-	binary.LittleEndian.PutUint64(repro[at+8:], math.Float64bits(1))
-	binary.LittleEndian.PutUint64(repro[at+16:], math.Float64bits(float64(4*m*m)))
+	edit := func(at int, words map[int]float64) []byte {
+		data := append([]byte(nil), saved...)
+		for w, v := range words {
+			binary.LittleEndian.PutUint64(data[at+8*(1+w):], math.Float64bits(v))
+		}
+		return data
+	}
+	// The reduced system's LU comes first, then the first element's.
+	reducedLU, elemLU := lus[0], lus[1]
+	diag := func(i int) int { return 2 + m + i*m + i } // U[i][i]'s word in an LU section
 
 	for _, tc := range []struct {
 		name   string
 		sched  prefix.Schedule
 		tamper func(*ARD)
+		data   []byte // a byte-edited file, used when tamper is nil
 		want   string
 	}{
-		{"rank lo", prefix.KoggeStone, func(s *ARD) { s.rk[1].lo++ }, "layout"},
-		{"rank hi", prefix.KoggeStone, func(s *ARD) { s.rk[0].hi-- }, "layout"},
-		{"rank first", prefix.KoggeStone, func(s *ARD) { s.rk[0].first = 0 }, "layout"},
-		{"element count", prefix.KoggeStone, func(s *ARD) { s.rk[0].elems = s.rk[0].elems[1:] }, "layout"},
-		{"element index", prefix.KoggeStone, func(s *ARD) { s.rk[1].elems[0].idx++ }, "has index"},
-		{"U order", prefix.KoggeStone, func(s *ARD) { s.rk[0].elems[0].luU = identityLU(m - 1) }, "want one of order"},
-		{"local total shape", prefix.KoggeStone, func(s *ARD) { s.rk[0].localTotalS = mat.New(2*m, m) }, "section of"},
-		{"local total missing", prefix.KoggeStone, func(s *ARD) { s.rk[0].localTotalS = nil }, "section of 0 words"},
-		{"round snapshot shape", prefix.KoggeStone, func(s *ARD) { s.rk[1].rounds[0].accS = mat.New(m, m) }, "section of"},
-		{"prefix shape", prefix.KoggeStone, func(s *ARD) { s.rk[1].piS = mat.New(2*m, 2*m-1) }, "section of"},
-		{"round count", prefix.KoggeStone, func(s *ARD) { s.rk[0].rounds = append(s.rk[0].rounds, s.rk[0].rounds[0]) }, "scan rounds"},
-		{"round distance", prefix.KoggeStone, func(s *ARD) { s.rk[0].rounds[0].dist = 2 }, "distance"},
-		{"chain rounds", prefix.Chain, func(s *ARD) { s.rk[0].rounds = []ardRound{{dist: 1}} }, "scan rounds"},
-		{"identity snapshot present", prefix.KoggeStone, func(s *ARD) { s.rk[1].rounds[0].preS = mat.New(2*m, 2*m) }, "has the identity"},
-		{"identity prefix present", prefix.KoggeStone, func(s *ARD) { s.rk[0].piS = mat.New(2*m, 2*m) }, "has the identity"},
-		{"reduced system order", prefix.KoggeStone, func(s *ARD) { s.luRm = identityLU(m + 1) }, "want one of order"},
-		{"transfer header 8x8 to 1x64", prefix.KoggeStone, nil, "section is 1x64"},
+		{"rank lo", prefix.KoggeStone, func(s *ARD) { s.rk[1].lo++ }, nil, "layout"},
+		{"rank hi", prefix.KoggeStone, func(s *ARD) { s.rk[0].hi-- }, nil, "layout"},
+		{"rank first", prefix.KoggeStone, func(s *ARD) { s.rk[0].first = 0 }, nil, "layout"},
+		{"element count", prefix.KoggeStone, func(s *ARD) { s.rk[0].elems = s.rk[0].elems[1:] }, nil, "layout"},
+		{"element index", prefix.KoggeStone, func(s *ARD) { s.rk[1].elems[0].idx++ }, nil, "has index"},
+		{"U order", prefix.KoggeStone, nil, edit(elemLU, map[int]float64{0: float64(m - 1)}), "want one of order"},
+		{"U singular", prefix.KoggeStone, nil, edit(elemLU, map[int]float64{diag(0): 0}), "zero on U's diagonal"},
+		{"local total shape", prefix.KoggeStone, func(s *ARD) { s.rk[0].localTotalS = mat.New(2*m, m) }, nil, "section of"},
+		{"local total missing", prefix.KoggeStone, func(s *ARD) { s.rk[0].localTotalS = nil }, nil, "section of 0 words"},
+		{"round snapshot shape", prefix.KoggeStone, func(s *ARD) { s.rk[1].rounds[0].accS = mat.New(m, m) }, nil, "section of"},
+		{"prefix shape", prefix.KoggeStone, func(s *ARD) { s.rk[1].piS = mat.New(2*m, 2*m-1) }, nil, "section of"},
+		{"round count", prefix.KoggeStone, func(s *ARD) { s.rk[0].rounds = append(s.rk[0].rounds, s.rk[0].rounds[0]) }, nil, "scan rounds"},
+		{"round distance", prefix.KoggeStone, func(s *ARD) { s.rk[0].rounds[0].dist = 2 }, nil, "distance"},
+		{"chain rounds", prefix.Chain, func(s *ARD) { s.rk[0].rounds = []ardRound{{dist: 1}} }, nil, "scan rounds"},
+		{"identity snapshot present", prefix.KoggeStone, func(s *ARD) { s.rk[1].rounds[0].preS = mat.New(2*m, 2*m) }, nil, "has the identity"},
+		{"identity prefix present", prefix.KoggeStone, func(s *ARD) { s.rk[0].piS = mat.New(2*m, 2*m) }, nil, "has the identity"},
+		{"reduced system order", prefix.KoggeStone, func(s *ARD) { s.luRm = identityLU(m + 1) }, nil, "want one of order"},
+		{"reduced system singular", prefix.KoggeStone, nil, edit(reducedLU, map[int]float64{diag(m - 1): 0}), "zero on U's diagonal"},
+		// The first element's T header rewritten from 8x8 to 1x64, which
+		// keeps the section length.
+		{"transfer header 8x8 to 1x64", prefix.KoggeStone, nil, edit(transfer[0], map[int]float64{0: 1, 1: float64(4 * m * m)}), "section is 1x64"},
 	} {
-		data := repro
+		data := tc.data
 		if tc.tamper != nil {
 			data = savedTampered(t, a, p, tc.sched, tc.tamper)
 		}
@@ -290,6 +365,42 @@ func TestLoadFactorRejectsMisshapenSections(t *testing.T) {
 				t.Errorf("%s: got error %v, want one mentioning %q", tc.name, err, tc.want)
 			}
 		}()
+	}
+}
+
+// TestSaveFactorBytesStable pins SaveFactor's output: the file holds each
+// element's whole transfer matrix and U's LU factors, rebuilt from the
+// matrix, so a change to what an element keeps must not change a byte of
+// it. The hashes were taken when elements still kept T's top half and U's
+// LU, one per kernel path (the FMA and portable kernels round
+// differently). M=5 keeps [TL TR] as a pack on the FMA kernels and U^{-1}
+// unpacked; M=16 keeps both as packs.
+func TestSaveFactorBytesStable(t *testing.T) {
+	for _, tc := range []struct {
+		n, m, p       int
+		sched         prefix.Schedule
+		fma, portable string
+	}{
+		{12, 5, 3, prefix.KoggeStone,
+			"fa595f52d4c167901ae1aef02274c57093270114b52b5cf37b4bfb73ca8ad440",
+			"d498a1d6aba8d98a0526c2ed81d1de2cb6296afd932d5404b082f0c0cd179f15"},
+		{9, 16, 2, prefix.Chain,
+			"2af6a4e4ecf4fbd9cbc584cef867dd6bec66e84e9fee25c488d42c407edea899",
+			"692ab6417d087aec84d975a89b52f08e253ead1c875c651027db6bf99d5c004e"},
+	} {
+		a := blocktri.RandomDiagDominant(tc.n, tc.m, rand.New(rand.NewSource(int64(tc.m))))
+		s := NewARD(a, Config{World: comm.NewWorld(tc.p), Schedule: tc.sched})
+		h := sha256.New()
+		if _, err := s.SaveFactor(h); err != nil {
+			t.Fatal(err)
+		}
+		want := tc.portable
+		if mat.FMAKernels() {
+			want = tc.fma
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("N=%d M=%d P=%d: SaveFactor hash %s, want %s", tc.n, tc.m, tc.p, got, want)
+		}
 	}
 }
 
@@ -311,6 +422,9 @@ func FuzzLoadFactor(f *testing.F) {
 		sched   prefix.Schedule
 	}{
 		{8, 4, 2, prefix.KoggeStone}, {13, 3, 5, prefix.KoggeStone}, {6, 2, 3, prefix.Chain}, {1, 3, 1, prefix.KoggeStone},
+		// Block sizes whose element operands are both kept as standalone
+		// packs on the FMA kernels, which the seeds above never reach.
+		{6, 8, 3, prefix.KoggeStone}, {5, 16, 2, prefix.Chain},
 	} {
 		a := blocktri.Oscillatory(c.n, c.m, rng)
 		s := NewARD(a, Config{World: comm.NewWorld(c.p), Schedule: c.sched})

@@ -489,26 +489,54 @@ func TestStoredBytesAccounting(t *testing.T) {
 	if got := th.FactorStats().StoredBytes; got != wantThomas {
 		t.Fatalf("Thomas stored %d want %d", got, wantThomas)
 	}
-	ard := NewARD(a, Config{World: comm.NewWorld(4)})
-	if err := ard.Factor(); err != nil {
-		t.Fatal(err)
+	// ARD retains, exactly: per element, its two operands, [TL TR] (M x 2M)
+	// and U^{-1} (M x M), each as a standalone pack where one serves every
+	// width (k >= 8 on the FMA kernels, never on the portable ones) and as
+	// the matrix otherwise. M=3 keeps no pack, M=5 packs [TL TR] alone and
+	// M=16 packs both. Kogge-Stone over four ranks keeps ten distinct scan
+	// matrices, each with one full pack (rank 0 its local total; ranks 1-3
+	// their local total, the round-1 aggregate received and the round-1
+	// combine), the exclusive prefixes of ranks 2 and 3, which no round
+	// snapshot holds, and a left-half prefix pack on ranks 1-3. Then the
+	// reduced-system LU and the negated last-row packs.
+	fma := mat.FMAKernels()
+	var ard *ARD
+	for _, tc := range []struct {
+		m            int
+		tPack, uPack bool // the layout on the FMA kernels
+	}{{3, false, false}, {5, true, false}, {16, true, true}} {
+		m, m64 := tc.m, int64(tc.m)
+		am := blocktri.RandomDiagDominant(32, m, rng)
+		ard = NewARD(am, Config{World: comm.NewWorld(4)})
+		if err := ard.Factor(); err != nil {
+			t.Fatal(err)
+		}
+		e := ard.rk[0].elems[0]
+		if e.t.p.Standalone() != (fma && tc.tPack) || (e.t.a == nil) != e.t.p.Valid() ||
+			e.u.p.Standalone() != (fma && tc.uPack) || (e.u.a == nil) != e.u.p.Valid() {
+			t.Fatalf("M=%d: element layout t=(%v, pack %v) u=(%v, pack %v), want packs %v/%v on FMA kernels %v",
+				m, e.t.a != nil, e.t.p.Valid(), e.u.a != nil, e.u.p.Valid(), tc.tPack, tc.uPack, fma)
+		}
+		operand := func(k int, packed bool) int64 {
+			if packed && fma {
+				return 8 * int64(mat.PackALen(m, k))
+			}
+			return 8 * int64(m*k)
+		}
+		elem := operand(2*m, tc.tPack) + operand(m, tc.uPack)
+		// The retired layout kept [TL TR], its pack and U's LU; no element
+		// may outgrow it.
+		if old := 8*int64(2*m*m+mat.PackALen(m, 2*m)) + 8*(m64*m64+m64); elem > old {
+			t.Errorf("M=%d: element keeps %d bytes, more than the %d of [TL TR], its pack and U's LU", m, elem, old)
+		}
+		s := 8 * int64(4*m*m+mat.PackALen(2*m, 2*m))
+		want := int64(am.N-1)*elem + 10*s + 2*8*int64(4*m*m) + 3*8*int64(mat.PackALen(2*m, m)) +
+			8*(m64*m64+m64) + 2*8*int64(mat.PackALen(m, m))
+		if got := ard.FactorStats().StoredBytes; got != want {
+			t.Fatalf("M=%d: ARD stored %d want %d", m, got, want)
+		}
 	}
 	ardStored := ard.FactorStats().StoredBytes
-	// ARD retains, exactly: per element, T's M x 2M top half, its pack and
-	// U's LU factors with pivots. Kogge-Stone over four ranks keeps ten
-	// distinct scan matrices, each with one full pack (rank 0 its local
-	// total; ranks 1-3 their local total, the round-1 aggregate received
-	// and the round-1 combine), the exclusive prefixes of ranks 2 and 3,
-	// which no round snapshot holds, and a left-half prefix pack on ranks
-	// 1-3. Then the reduced-system LU and the negated last-row packs.
-	m := a.M
-	elem := 8*int64(2*m*m+mat.PackALen(m, 2*m)) + 8*(m64*m64+m64)
-	s := 8 * int64(4*m*m+mat.PackALen(2*m, 2*m))
-	wantARD := int64(a.N-1)*elem + 10*s + 2*8*int64(4*m*m) + 3*8*int64(mat.PackALen(2*m, m)) +
-		8*(m64*m64+m64) + 2*8*int64(mat.PackALen(m, m))
-	if ardStored != wantARD {
-		t.Fatalf("ARD stored %d want %d", ardStored, wantARD)
-	}
 	sp := NewSpike(a, Config{World: comm.NewWorld(4)})
 	if err := sp.Factor(); err != nil {
 		t.Fatal(err)
@@ -519,7 +547,7 @@ func TestStoredBytesAccounting(t *testing.T) {
 	}
 	// Solve stats must not claim stored memory, and solving must not
 	// change the factor-phase accounting.
-	b := a.RandomRHS(1, rng)
+	b := ard.Matrix().RandomRHS(1, rng)
 	if _, err := ard.Solve(b); err != nil {
 		t.Fatal(err)
 	}

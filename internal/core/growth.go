@@ -42,11 +42,11 @@ func EstimateGrowth(a *blocktri.Matrix, samples int) float64 {
 	ws := mat.NewWorkspace()
 	for i := 1; i <= a.N-1; i += step {
 		ws.Reset()
-		e, err := buildElement(ws, ws.GetNoClear(a.M, 2*a.M), a, i)
+		e, err := buildElement(ws, a, i)
 		if err != nil {
 			return math.Inf(1)
 		}
-		if rho := spectralRadiusEstimate(ws, e.top, 30); rho > maxRho {
+		if rho := spectralRadiusEstimate(ws, e.t.a, 30); rho > maxRho {
 			maxRho = rho
 		}
 	}

@@ -26,13 +26,16 @@ import (
 //     wide panels differently, so there the two agree only to rounding.
 
 // panelParitySystems builds the systems the parity tests share: a random
-// diagonally dominant matrix and an oscillatory workload system, both with
-// M=8, so the applyT half-products (8x16) are packed at every width on the
-// FMA kernels and at none on the portable ones.
+// diagonally dominant matrix and an oscillatory workload system with M=8,
+// so both element operands (U^{-1}, 8x8, and [TL TR], 8x16) are standalone
+// packs on the FMA kernels and unpacked on the portable ones, and a random
+// system with M=5, where ARD keeps [TL TR] (5x10) as a pack on the FMA
+// kernels beside an unpacked U^{-1} (5x5).
 func panelParitySystems(rng *rand.Rand) []*blocktri.Matrix {
 	return []*blocktri.Matrix{
 		blocktri.RandomDiagDominant(64, 8, rng),
 		blocktri.Oscillatory(24, 8, rng),
+		blocktri.RandomDiagDominant(32, 5, rng),
 	}
 }
 
@@ -109,13 +112,14 @@ func TestPanelizedMatchesPerColumnSolves(t *testing.T) {
 // TestARDColumnsMatchWidthOneBitwise is the width contract end to end:
 // every column of an R-wide ARD SolveTo equals, bit for bit, the width-1
 // solve of that column, across block sizes whose products land on full
-// tiles (M=8, 16) and on partial 8-row panels (M=12).
+// tiles (M=8, 16), on partial 8-row panels (M=12), and on an unpacked
+// U^{-1} with k below one panel beside a packed [TL TR] (M=5).
 func TestARDColumnsMatchWidthOneBitwise(t *testing.T) {
 	if !mat.FMAKernels() {
 		t.Skip("the width contract holds only on the AVX-512 FMA kernels")
 	}
 	rng := rand.New(rand.NewSource(229))
-	for _, m := range []int{8, 12, 16} {
+	for _, m := range []int{5, 8, 12, 16} {
 		a := blocktri.Oscillatory(20, m, rng)
 		s := NewARD(a, Config{World: comm.NewWorld(4)})
 		if err := s.Factor(); err != nil {
@@ -173,24 +177,28 @@ func TestPanelDegenerateSingleRHS(t *testing.T) {
 // TestStructuredComposeMatchesDenseProduct pins the factor-phase shortcut
 // every scan element goes through. buildElement's fused negated solve must
 // give T's top half equal (==) to two separate solves and a negation, and
-// composeT, applying T = [[TL TR],[I 0]] through its block structure on
-// the pack or without it, must reproduce the full 2M x 2M product bit for
-// bit, including the +0 the identity rows make of a -0 in S. M=3 runs
-// below the packed kernel's k >= 8 on every host; M=8 and M=16 run on it
-// with the FMA kernels.
+// U^{-1} equal to the solve of I alone (the operand LoadFactor rebuilds
+// from a stored LU), and composeT, applying T = [[TL TR],[I 0]] through
+// its block structure on the pack or without it, must reproduce the full
+// 2M x 2M product bit for bit, including the +0 the identity rows make of
+// a -0 in S. M=3 runs below the packed kernel's k >= 8 on every host; M=8
+// and M=16 run on it with the FMA kernels.
 func TestStructuredComposeMatchesDenseProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(229))
 	for _, m := range []int{3, 8, 16} {
 		a := blocktri.Oscillatory(6, m, rng)
 		ws := mat.NewWorkspace()
 		for i := 1; i < a.N; i++ {
-			e, err := buildElement(ws, ws.GetNoClear(m, 2*m), a, i)
+			e, err := buildElement(ws, a, i)
 			if err != nil {
 				t.Fatal(err)
 			}
 			lu, err := mat.Factor(a.Upper[i-1])
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !e.u.a.Equal(lu.Inverse()) {
+				t.Fatalf("M=%d element %d: fused U^{-1} differs from the solve of I alone", m, i)
 			}
 			dense := mat.New(2*m, 2*m)
 			lu.SolveTo(dense.View(0, 0, m, m), a.Diag[i-1])
@@ -201,7 +209,7 @@ func TestStructuredComposeMatchesDenseProduct(t *testing.T) {
 			dense.View(m, 0, m, m).SetIdentity()
 
 			tFull := mat.New(2*m, 2*m)
-			composeT(ws, tFull, e.top, mat.PackedA{}, nil, nil)
+			composeT(ws, tFull, e.t.a, mat.PackedA{}, nil, nil)
 			if !tFull.Equal(dense) {
 				t.Fatalf("M=%d element %d: structured T differs from the dense build", m, i)
 			}
@@ -211,8 +219,8 @@ func TestStructuredComposeMatchesDenseProduct(t *testing.T) {
 			want := mat.New(2*m, 2*m)
 			mat.Mul(want, tFull, s)
 			got := mat.New(2*m, 2*m)
-			for _, tp := range []mat.PackedA{{}, mat.NewPackedA(1, e.top)} {
-				composeT(ws, got, e.top, tp, s, make([]float64, mat.PackBLen(2*m, 2*m)))
+			for _, tp := range []mat.PackedA{{}, mat.NewPackedA(1, e.t.a)} {
+				composeT(ws, got, e.t.a, tp, s, make([]float64, mat.PackBLen(2*m, 2*m)))
 				for k := range got.Data {
 					if math.Float64bits(got.Data[k]) != math.Float64bits(want.Data[k]) {
 						t.Fatalf("M=%d element %d packed=%v: T*S entry %d is %v, dense product %v",

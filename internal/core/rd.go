@@ -86,7 +86,7 @@ func (rd *RD) solve(x, b *mat.Matrix) error {
 // rank also records the prefix growth diagnostic. All per-solve storage is
 // checked out of the rank's arena; RD still redoes every operation per
 // solve (that is the algorithm), it just stops paying the allocator for the
-// privilege. Transfer-matrix applications go through applyT and the
+// privilege. Element applications go through element.step and the
 // recovery through recoverChunk, so RD and ARD keep producing bit-identical
 // solutions.
 func (rd *RD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
@@ -99,39 +99,32 @@ func (rd *RD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	var fc flopCounter
 
 	// Phase 1: build local scan elements and reduce them to the local
-	// total — the O(M^3 N/P) term, redone on every RD solve. The elements
-	// and the S compose are ARD's factor-phase ones, so the two solvers
-	// agree bit for bit. The running total ping-pongs between two arena
-	// buffers per half.
+	// total — the O(M^3 N/P) term, redone on every RD solve. The elements,
+	// the S compose and the H step are ARD's, on unpacked operands, so the
+	// two solvers agree bit for bit. The running total ping-pongs between
+	// two arena buffers per half.
 	elems := make([]element, 0, max(hi-first, 0))
-	fs := make([]*mat.Matrix, 0, max(hi-first, 0))
 	sbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, 2*m), ws.GetNoClear(2*m, 2*m)}
 	hbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
 	cur := 0
 	localTotal := Affine{}
 	var buildErr error
 	for i := first; i < hi; i++ {
-		e, err := buildElement(ws, ws.GetNoClear(m, 2*m), a, i)
+		e, err := buildElement(ws, a, i)
 		if err != nil {
 			buildErr = err
 			break
 		}
-		fc.add(luFlops(m) + luSolveFlops(m, m)) // factor U, solve for D
-		if a.Lower[i-1] != nil {
-			fc.add(luSolveFlops(m, m))
-		}
-		f := e.buildFInto(ws, m, wsBlockOf(ws, b, m, i-1))
-		fc.add(luSolveFlops(m, rhs))
-		elems, fs = append(elems, e), append(fs, f)
+		fc.add(buildFlops(a, i-1))
+		elems = append(elems, e)
 		ns, nh := sbuf[cur], hbuf[cur]
 		cur ^= 1
-		composeT(ws, ns, e.top, mat.PackedA{}, localTotal.S, nil)
-		if localTotal.IsIdentity() {
-			localTotal = Affine{S: ns, H: f}
-			continue
+		composeT(ws, ns, e.t.a, mat.PackedA{}, localTotal.S, nil)
+		e.step(ws, nh, localTotal.H, wsBlockOf(ws, b, m, i-1), nil)
+		fc.add(stepFlops(m, rhs, localTotal.IsIdentity()))
+		if !localTotal.IsIdentity() {
+			fc.add(gemmFlops(2*m, 2*m, 2*m))
 		}
-		fc.add(gemmFlops(2*m, 2*m, 2*m) + gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-		applyT(ws, e.top, mat.PackedA{}, localTotal.H, f, nh, m, nil)
 		localTotal = Affine{S: ns, H: nh}
 	}
 	if !agree(c, buildErr) {
@@ -179,6 +172,6 @@ func (rd *RD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	c.BcastMatrixInto(p-1, x0)
 
 	// Phase 4: local recovery by state propagation — O(M^2 R N/P).
-	recoverChunk(ws, &fc, x, x0, lo, hi, pi.S, mat.PackedA{}, pi.H, elems, fs, nil)
+	recoverChunk(ws, &fc, x, b, x0, lo, hi, pi.S, mat.PackedA{}, pi.H, elems, nil)
 	return fc.n, nil
 }

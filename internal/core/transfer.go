@@ -28,60 +28,151 @@ func PartRange(n, p, r int) (lo, hi int) {
 //	y_i = T*y_{i-1} + F,  T = | -U^{-1}D   -U^{-1}L |  F = | U^{-1}b |
 //	                          |     I          0    |      |    0    |
 //
-// built from block row j = i-1. Only T's working top half is stored: the
-// [I 0] bottom is structure that applyT and composeT apply as a copy. luU
-// is retained so the right-hand-side part F can be (re)built per solve.
+// built from block row j = i-1. It keeps two operands, T's top half
+// [TL TR] and U^{-1}. T's [I 0] bottom and F's zero bottom are structure,
+// applied as a copy, and F is never formed: step multiplies U^{-1} into
+// the right-hand block in place.
 type element struct {
-	idx int         // element index i (the state it produces)
-	top *mat.Matrix // [TL TR] = -U^{-1} [D_j L_j], M x 2M
-	luU *mat.LU     // factorization of U_{i-1}, for building F
-
-	// tPack is the packed image of top, built by ARD's factor phase so its
-	// local scan and every solve-phase applyT run the packed kernel without
-	// repacking. RD rebuilds its elements per solve and leaves it zero;
-	// applyT and composeT then multiply through top directly.
-	tPack mat.PackedA
+	idx int     // element index i (the state it produces)
+	t   operand // [TL TR] = -U^{-1} [D_j L_j], M x 2M
+	u   operand // U_j^{-1}, M x M
 }
 
-// buildElement constructs element i into top (M x 2M, overwritten), with
-// the U factorization checked out of ws: ARD's per-rank factor stores,
-// RD's per-solve arena, or EstimateGrowth's scratch. It costs one M x M LU
-// factorization plus one 2M-column substitution, run on a buffer holding
-// -D and -L: negation commutes with every rounding, so the result equals
-// -U^{-1}D and -U^{-1}L solved apart and negated afterwards (up to the sign
-// of exact zeros), and the substitution's per-column arithmetic does not
-// depend on the panel width. O(M^3).
-func buildElement(ws *mat.Workspace, top *mat.Matrix, a *blocktri.Matrix, i int) (element, error) {
+// operand is a matrix the solve phase multiplies into right-hand panels,
+// held in one form. ARD's factor phase keeps a standalone pack
+// (mat.PackStandalone) and drops the matrix, or keeps the matrix alone
+// where no pack serves every width; RD's per-solve elements stay
+// unpacked. Both forms give the same bits: MulAddPacked equals GEMM.
+type operand struct {
+	a *mat.Matrix
+	p mat.PackedA
+}
+
+// mulAdd computes dst += o*b, scratching the packed path's panel in bs.
+//
+//perf:hotpath
+func (o *operand) mulAdd(dst, b *mat.Matrix, bs []float64) {
+	if o.p.Valid() {
+		mat.MulAddPacked(dst, o.p, b, bs)
+		return
+	}
+	mat.MulAdd(dst, o.a, b)
+}
+
+// keep returns e with both operands copied into store, each as a
+// standalone pack when one serves every width and as the matrix
+// otherwise, so e's build scratch can be recycled.
+func (e *element) keep(store *mat.Workspace) element {
+	op := func(a *mat.Matrix) operand {
+		if mat.PackStandalone(a.Rows, a.Cols) {
+			return operand{p: mat.PackAInto(store.Floats(mat.PackALen(a.Rows, a.Cols)), 1, a)}
+		}
+		return operand{a: store.CloneOf(a)}
+	}
+	return element{idx: e.idx, u: op(e.u.a), t: op(e.t.a)}
+}
+
+// elementFloats is the float64 count keep stores for one element of
+// block size m.
+func elementFloats(m int) int {
+	n := 0
+	for _, k := range []int{m, 2 * m} {
+		if mat.PackStandalone(m, k) {
+			n += mat.PackALen(m, k)
+		} else {
+			n += m * k
+		}
+	}
+	return n
+}
+
+// newElementStore returns the store a rank's ne elements of block size m
+// are kept in: one slab sized once, each element's U^{-1} and [TL TR]
+// side by side in the order a solve streams them.
+func newElementStore(m, ne int) *mat.Workspace {
+	store := mat.NewWorkspace()
+	store.Reserve(ne*elementFloats(m), 0)
+	return store
+}
+
+// buildElement constructs element i with U's factorization and one M x 3M
+// buffer checked out of ws (RD's per-solve arena, or the build scratch of
+// ARD's factor, LoadFactor, SaveFactor and EstimateGrowth); the element's
+// operands are unpacked views of the buffer. It costs one M x M LU
+// factorization plus one 3M-column substitution, U [X Y Z] = [-D -L I],
+// which yields [TL TR] = [X Y] and U^{-1} = Z: negation commutes with
+// every rounding, so [X Y] equals -U^{-1}D and -U^{-1}L solved apart and
+// negated afterwards (up to the sign of exact zeros), and the
+// substitution's per-column arithmetic does not depend on the panel width,
+// so Z is also the M-column solve of I alone. O(M^3).
+func buildElement(ws *mat.Workspace, a *blocktri.Matrix, i int) (element, error) {
 	j := i - 1
 	m := a.M
 	luU, err := ws.LU(a.Upper[j])
 	if err != nil {
 		return element{}, fmt.Errorf("block row %d: %w", j, ErrSingularSuper)
 	}
-	mat.Neg(top.View(0, 0, m, m), a.Diag[j])
+	w := ws.GetNoClear(m, 3*m)
+	uInv := ws.View(w, 0, 2*m, m, m)
+	mat.Neg(ws.View(w, 0, 0, m, m), a.Diag[j])
+	uInv.SetIdentity()
 	if a.Lower[j] != nil {
-		mat.Neg(top.View(0, m, m, m), a.Lower[j])
-		luU.SolveInPlace(top)
+		mat.Neg(ws.View(w, 0, m, m, m), a.Lower[j])
+		luU.SolveInPlace(w)
 	} else {
-		// TR stays zero (x_{-1} = 0), so only -D is solved for.
-		top.View(0, m, m, m).Zero()
-		luU.SolveInPlace(top.View(0, 0, m, m))
+		// TR stays zero (x_{-1} = 0), so only -D and I are solved for.
+		ws.View(w, 0, m, m, m).Zero()
+		luU.SolveInPlace(ws.View(w, 0, 0, m, m))
+		luU.SolveInPlace(uInv)
 	}
-	return element{idx: i, top: top, luU: luU}, nil
+	return element{idx: i, t: operand{a: ws.View(w, 0, 0, m, 2*m)}, u: operand{a: uInv}}, nil
 }
 
-// buildFInto constructs the right-hand-side part F = [U^{-1} b_{i-1} ; 0]
-// (2M x R) for the element with the result checked out of a workspace: the
-// hot per-solve path allocates nothing once the arena has warmed up.
+// buildFlops is buildElement's operation count for block row j.
+func buildFlops(a *blocktri.Matrix, j int) int64 {
+	m := a.M
+	f := luFlops(m) + 2*luSolveFlops(m, m) // factor U, solve for -D and I
+	if a.Lower[j] != nil {
+		f += luSolveFlops(m, m)
+	}
+	return f
+}
+
+// step computes dst = T*y + F (2M x R) for the element and its
+// right-hand block b = b_{i-1} (M x R, read in place), exploiting T's
+// block structure [[TL TR],[I 0]] and F's zero bottom half:
+//
+//	dst_top = U^{-1}*b + [TL TR]*y,  dst_bot = y_top
+//
+// A nil y is the zero state entering a local fold, for which dst = F. The
+// products add into a zeroed dst_top in this order whatever form the
+// operands take, so RD's unpacked elements and ARD's packed ones give the
+// same bits: both solvers route every element application, in the local
+// fold and in the recovery sweep, through here. dst must not alias y or
+// b; bs must hold mat.PackBLen(2M, R) floats for packed operands.
 //
 //perf:hotpath
-func (e element) buildFInto(ws *mat.Workspace, m int, bBlock *mat.Matrix) *mat.Matrix {
-	// Only the bottom half must be zeroed: SolveTo overwrites the top half
-	// entirely, so a cleared checkout would scrub twice the necessary rows
-	// on every element of every solve.
-	f := ws.GetNoClear(2*m, bBlock.Cols)
-	ws.View(f, m, 0, m, bBlock.Cols).Zero()
-	e.luU.SolveTo(ws.View(f, 0, 0, m, bBlock.Cols), bBlock)
+func (e *element) step(ws *mat.Workspace, dst, y, b *mat.Matrix, bs []float64) {
+	m, rhs := b.Rows, b.Cols
+	dTop, dBot := ws.View(dst, 0, 0, m, rhs), ws.View(dst, m, 0, m, rhs)
+	dTop.Zero()
+	e.u.mulAdd(dTop, b, bs)
+	if y == nil {
+		dBot.Zero()
+		return
+	}
+	e.t.mulAdd(dTop, y, bs)
+	dBot.CopyFrom(ws.View(y, 0, 0, m, rhs))
+}
+
+// stepFlops is the operation count of one step at width rhs: the U^{-1}
+// product, and for a nonzero state T applied as the dense 2M x 2M product
+// it is counted as, plus adding F.
+func stepFlops(m, rhs int, zeroState bool) int64 {
+	f := gemmFlops(m, m, rhs)
+	if !zeroState {
+		f += gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs)
+	}
 	return f
 }
 
@@ -122,38 +213,6 @@ func composeT(ws *mat.Workspace, dst, top *mat.Matrix, tp mat.PackedA, s *mat.Ma
 	mat.Mul(dTop, top, s)
 }
 
-// applyT computes dst = T*y + f (2M x R) exploiting the transfer matrix's
-// block structure T = [[TL TR],[I 0]] and F's zero bottom half:
-//
-//	dst_top = [TL TR]*y + f_top,  dst_bot = y_top
-//
-// which costs half the flops of the dense 2M x 2M product (the identity and
-// zero blocks contribute a copy, not arithmetic). dst must not alias y or
-// f. When the caller holds a prepacked top half (tp) and the shape runs on
-// the packed kernel, the product folds the whole M x R panel through one
-// MulAddPacked; the fallback multiplies through top directly. The packed
-// branch seeds dst_top with f and adds the k-ascending product total once,
-// the exact mirror of the fallback's product-then-add — IEEE addition is
-// commutative, so both orders round identically and the two branches are
-// bit-equal. Both RD and ARD route every transfer application (the local H
-// fold and the recovery sweep) through this function so the two solvers
-// keep producing bit-identical solutions regardless of which GEMM kernel a
-// given shape dispatches to.
-//
-//perf:hotpath
-func applyT(ws *mat.Workspace, top *mat.Matrix, tp mat.PackedA, y, f, dst *mat.Matrix, m int, bs []float64) {
-	rhs := y.Cols
-	dTop := ws.View(dst, 0, 0, m, rhs)
-	if tp.Valid() && mat.PanelPacked(m, 2*m, rhs) {
-		dTop.CopyFrom(ws.View(f, 0, 0, m, rhs))
-		mat.MulAddPacked(dTop, tp, y, bs)
-	} else {
-		mat.Mul(dTop, top, y)
-		mat.Add(dTop, dTop, ws.View(f, 0, 0, m, rhs))
-	}
-	ws.View(dst, m, 0, m, rhs).CopyFrom(ws.View(y, 0, 0, m, rhs))
-}
-
 // applyPrefixState computes y_{s-1} = S[:, 0:M]*x0 + H, the state entering
 // a rank's chunk, given the cross-rank exclusive prefix (S, H) and the
 // broadcast first unknown x0 (M x R). A nil S means the identity prefix:
@@ -190,12 +249,13 @@ func applyPrefixState(ws *mat.Workspace, m int, s *mat.Matrix, sp mat.PackedA, h
 // agree bit for bit by construction. From the rank's exclusive prefix
 // (S, H) — sp is S's packed left half, if any — and the broadcast x0 it
 // forms the state entering the rank's chunk, y = S[:, 0:M]*x0 + H, then
-// propagates it through the chunk's elements, y_i = T_i*y_{i-1} + F_i,
-// writing each x_i = y_i[0:M] into x (and x_0 = x0 on the rank that owns
-// block row 0, [lo, hi) being the rank's block rows). The propagation
-// ping-pongs between two arena buffers.
-func recoverChunk(ws *mat.Workspace, fc *flopCounter, x, x0 *mat.Matrix, lo, hi int,
-	s *mat.Matrix, sp mat.PackedA, h *mat.Matrix, elems []element, fs []*mat.Matrix, bs []float64) {
+// propagates it through the chunk's elements, y_i = T_i*y_{i-1} + F_i
+// with F_i's U^{-1} product recomputed from b, writing each x_i = y_i[0:M]
+// into x (and x_0 = x0 on the rank that owns block row 0, [lo, hi) being
+// the rank's block rows). The propagation ping-pongs between two arena
+// buffers.
+func recoverChunk(ws *mat.Workspace, fc *flopCounter, x, b, x0 *mat.Matrix, lo, hi int,
+	s *mat.Matrix, sp mat.PackedA, h *mat.Matrix, elems []element, bs []float64) {
 	m, rhs := x0.Rows, x0.Cols
 	if lo == 0 && hi > 0 {
 		wsBlockOf(ws, x, m, 0).CopyFrom(x0)
@@ -205,11 +265,12 @@ func recoverChunk(ws *mat.Workspace, fc *flopCounter, x, x0 *mat.Matrix, lo, hi 
 		fc.add(gemmFlops(2*m, m, rhs) + addFlops(2*m, rhs))
 	}
 	ybuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
-	for k, e := range elems {
+	for k := range elems {
+		e := &elems[k]
 		dst := ybuf[k&1]
-		applyT(ws, e.top, e.tPack, y, fs[k], dst, m, bs)
+		e.step(ws, dst, y, wsBlockOf(ws, b, m, e.idx-1), bs)
 		y = dst
-		fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
+		fc.add(stepFlops(m, rhs, false))
 		wsBlockOf(ws, x, m, e.idx).CopyFrom(ws.View(y, 0, 0, m, rhs))
 	}
 }
@@ -238,19 +299,29 @@ func reducedMatrixWS(ws *mat.Workspace, a *blocktri.Matrix, s *mat.Matrix) *mat.
 // checked out of ws. Valid negDiag/negLower are -D_{N-1} and -L_{N-1}
 // prepacked with alpha = -1 — exactly the factor MulSub folds on the fly —
 // so the packed branch subtracts the same k-ascending product totals and
-// stays bit-equal to the fallback.
+// stays bit-equal to the fallback. Below the packed kernels a product
+// accumulated into a nonzero destination rounds differently at width 1
+// (gemv) and wider, so there each product goes into zeroed scratch and is
+// subtracted elementwise, which gives every column the same bits at every
+// width.
 func reducedRHS(ws *mat.Workspace, a *blocktri.Matrix, h, bLast *mat.Matrix, negDiag, negLower mat.PackedA, bs []float64) *mat.Matrix {
 	m, r := a.M, bLast.Cols
 	last := a.N - 1
 	rhs := ws.CloneOf(bLast)
-	if h != nil {
-		if negDiag.Valid() && negLower.Valid() && mat.PanelPacked(m, m, r) {
-			mat.MulAddPacked(rhs, negDiag, ws.View(h, 0, 0, m, r), bs)
-			mat.MulAddPacked(rhs, negLower, ws.View(h, m, 0, m, r), bs)
-		} else {
-			mat.MulSub(rhs, a.Diag[last], ws.View(h, 0, 0, m, r))
-			mat.MulSub(rhs, a.Lower[last], ws.View(h, m, 0, m, r))
-		}
+	switch {
+	case h == nil:
+	case !mat.PanelPacked(m, m, r):
+		t := ws.GetNoClear(m, r)
+		mat.Mul(t, a.Diag[last], ws.View(h, 0, 0, m, r))
+		mat.Sub(rhs, rhs, t)
+		mat.Mul(t, a.Lower[last], ws.View(h, m, 0, m, r))
+		mat.Sub(rhs, rhs, t)
+	case negDiag.Valid() && negLower.Valid():
+		mat.MulAddPacked(rhs, negDiag, ws.View(h, 0, 0, m, r), bs)
+		mat.MulAddPacked(rhs, negLower, ws.View(h, m, 0, m, r), bs)
+	default:
+		mat.MulSub(rhs, a.Diag[last], ws.View(h, 0, 0, m, r))
+		mat.MulSub(rhs, a.Lower[last], ws.View(h, m, 0, m, r))
 	}
 	return rhs
 }

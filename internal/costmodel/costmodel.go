@@ -160,7 +160,8 @@ func RDSolve(p Params) Cost {
 	elems := elemsPerRank(n, pr)
 	combine := gemmFlops(2*m, 2*m, 2*m) + gemmFlops(2*m, 2*m, r) + addFlops(2*m, r)
 
-	// Phase 1: element construction and local reduction.
+	// Phase 1: element construction (U's LU and the [-D -L I] solve) and
+	// local reduction, each step multiplying U^{-1} into its block of b.
 	for rank := 0; rank < pr; rank++ {
 		lo, hi := core.PartRange(n, pr, rank)
 		first := lo
@@ -168,10 +169,7 @@ func RDSolve(p Params) Cost {
 			first = 1
 		}
 		for i := first; i < hi; i++ {
-			perRank[rank] += luFlops(m) + luSolveFlops(m, m) + luSolveFlops(m, r)
-			if i-1 > 0 {
-				perRank[rank] += luSolveFlops(m, m)
-			}
+			perRank[rank] += elementFlops(m, i) + gemmFlops(m, m, r)
 			if i > first {
 				perRank[rank] += combine
 			}
@@ -201,13 +199,33 @@ func RDSolve(p Params) Cost {
 	}
 	perRank[last] += 2*gemmFlops(m, m, m) + luFlops(m) + 2*gemmFlops(m, m, r) + luSolveFlops(m, r)
 	// Phase 4: recovery.
-	for rank := 0; rank < pr; rank++ {
+	recovery(perRank, st, elems, m, r)
+	return fold(perRank, scanWords, rounds)
+}
+
+// elementFlops is the cost of building scan element i: U's LU and the
+// substitution U^{-1} [-D -L I], less the -L columns for element 1, whose
+// block row 0 has no L.
+func elementFlops(m, i int) int64 {
+	f := luFlops(m) + 2*luSolveFlops(m, m)
+	if i-1 > 0 {
+		f += luSolveFlops(m, m)
+	}
+	return f
+}
+
+// recovery adds RD's and ARD's shared recovery sweep to perRank: the
+// prefix state on ranks with a non-identity prefix, then one element step
+// per element, the U^{-1} product plus T applied as a dense 2M x 2M
+// product with F added.
+func recovery(perRank []int64, st *scanState, elems []int, m, r int) {
+	step := gemmFlops(m, m, r) + gemmFlops(2*m, 2*m, r) + addFlops(2*m, r)
+	for rank := range perRank {
 		if st.preNonID[rank] {
 			perRank[rank] += gemmFlops(2*m, m, r) + addFlops(2*m, r)
 		}
-		perRank[rank] += int64(elems[rank]) * (gemmFlops(2*m, 2*m, r) + addFlops(2*m, r))
+		perRank[rank] += int64(elems[rank]) * step
 	}
-	return fold(perRank, scanWords, rounds)
 }
 
 // ARDFactor predicts the once-per-matrix cost of ARD's factor phase.
@@ -227,10 +245,7 @@ func ARDFactor(p Params) Cost {
 			first = 1
 		}
 		for i := first; i < hi; i++ {
-			perRank[rank] += luFlops(m) + luSolveFlops(m, m)
-			if i-1 > 0 {
-				perRank[rank] += luSolveFlops(m, m)
-			}
+			perRank[rank] += elementFlops(m, i)
 			if i > first {
 				perRank[rank] += combineS
 			}
@@ -261,7 +276,8 @@ func ARDFactor(p Params) Cost {
 }
 
 // ARDSolve predicts the per-call cost of ARD's solve phase: only M^2-sized
-// kernels, only 2M x R payloads on the wire.
+// kernels, only 2M x R payloads on the wire. Each element step multiplies
+// U^{-1} into its block of b, in the local fold and again in recovery.
 func ARDSolve(p Params) Cost {
 	n, m, r, pr := p.N, p.M, p.R, p.P
 	if n == 1 {
@@ -273,7 +289,7 @@ func ARDSolve(p Params) Cost {
 	combineH := gemmFlops(2*m, 2*m, r) + addFlops(2*m, r)
 	for rank := 0; rank < pr; rank++ {
 		e := elems[rank]
-		perRank[rank] += int64(e) * luSolveFlops(m, r)
+		perRank[rank] += int64(e) * gemmFlops(m, m, r)
 		if e > 1 {
 			perRank[rank] += int64(e-1) * combineH
 		}
@@ -299,12 +315,7 @@ func ARDSolve(p Params) Cost {
 		perRank[last] += combineH
 	}
 	perRank[last] += 2*gemmFlops(m, m, r) + luSolveFlops(m, r)
-	for rank := 0; rank < pr; rank++ {
-		if st.preNonID[rank] {
-			perRank[rank] += gemmFlops(2*m, m, r) + addFlops(2*m, r)
-		}
-		perRank[rank] += int64(elems[rank]) * combineH
-	}
+	recovery(perRank, st, elems, m, r)
 	return fold(perRank, scanWords, rounds)
 }
 

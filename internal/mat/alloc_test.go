@@ -129,15 +129,54 @@ func TestMulAddPackedAllocationFree(t *testing.T) {
 }
 
 // TestPackAIntoAllocationFree pins the pack step itself: packing into a
-// pre-sized arena slice performs exactly one allocation ever (the frozen
-// source header, made at pack time so the hot solve loop stays clean), and
-// repacking into the same buffer reuses nothing from the heap beyond it.
+// pre-sized arena slice allocates at most the frozen source header, made
+// at pack time so the hot solve loop stays clean, and a standalone pack,
+// which never falls back to its source, allocates nothing.
 func TestPackAIntoAllocationFree(t *testing.T) {
-	a := New(8, 16)
-	fillSeq(a, 0.5)
-	buf := make([]float64, PackALen(8, 16))
-	allocs := testing.AllocsPerRun(10, func() { _ = PackAInto(buf, 1, a) })
-	if allocs > 1 {
-		t.Errorf("PackAInto: %v allocs/op, want <= 1 (the frozen source header)", allocs)
+	for _, k := range []int{5, 16} {
+		a := New(8, k)
+		fillSeq(a, 0.5)
+		buf := make([]float64, PackALen(8, k))
+		want := 1.0
+		if PackStandalone(8, k) {
+			want = 0
+		}
+		allocs := testing.AllocsPerRun(10, func() { _ = PackAInto(buf, 1, a) })
+		if allocs > want {
+			t.Errorf("PackAInto 8x%d: %v allocs/op, want <= %v", k, allocs, want)
+		}
+	}
+}
+
+// TestStandalonePackNeedsNoSource checks the standalone rule and what it
+// promises: a pack is standalone exactly for k >= 8 on the FMA kernels,
+// and a standalone pack multiplies at every width with its source
+// overwritten, bit for bit as GEMM on the original.
+func TestStandalonePackNeedsNoSource(t *testing.T) {
+	for _, k := range []int{1, 7, 8, 16, 32} {
+		a := New(12, k)
+		fillSeq(a, 0.5)
+		p := NewPackedA(1, a)
+		if want := FMAKernels() && k >= 8; PackStandalone(12, k) != want || p.Standalone() != want {
+			t.Fatalf("k=%d: PackStandalone %v, Standalone %v, want %v", k, PackStandalone(12, k), p.Standalone(), want)
+		}
+		if !p.Standalone() {
+			continue
+		}
+		orig := a.Clone()
+		a.Zero()
+		for _, n := range []int{1, 3, 8, 13, 64} {
+			b := New(k, n)
+			fillSeq(b, 0.25)
+			got, want := New(12, n), New(12, n)
+			MulAddPacked(got, p, b, nil)
+			MulAdd(want, orig, b)
+			if !got.Equal(want) {
+				t.Errorf("k=%d n=%d: standalone pack differs from GEMM on its source", k, n)
+			}
+		}
+	}
+	if (PackedA{}).Standalone() {
+		t.Error("the zero PackedA reports standalone")
 	}
 }

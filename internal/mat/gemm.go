@@ -520,12 +520,27 @@ type PackedA struct {
 	data       []float64
 	// src is a heap copy of the source header, allocated once at pack time
 	// so the unpacked GEMM fallback never forces the PackedA value itself
-	// to escape — MulAddPacked stays allocation-free per call.
+	// to escape — MulAddPacked stays allocation-free per call. A
+	// standalone pack has none: no width falls back to the source.
 	src *Matrix
 }
 
 // Valid reports whether p holds a pack (the zero PackedA does not).
 func (p PackedA) Valid() bool { return p.w != 0 }
+
+// Standalone reports whether p serves MulAddPacked at every right-hand
+// width without its source matrix (see PackStandalone), so the caller may
+// discard or recycle the source once the pack is built.
+func (p PackedA) Standalone() bool { return p.Valid() && p.src == nil }
+
+// PackStandalone reports whether a pack of an m x k operand is standalone:
+// MulAddPacked runs it on the packed kernels at every right-hand width and
+// never falls back to GEMM on the source. That is every k >= 8 on the FMA
+// kernels, and no shape on the portable ones, which multiply a single
+// column unpacked.
+//
+//perf:inline
+func PackStandalone(m, k int) bool { return fmaKernels && k >= avxPanelW }
 
 // Rows returns the row count of the packed operand.
 func (p PackedA) Rows() int { return p.rows }
@@ -552,10 +567,12 @@ func PackBLen(k, n int) int {
 }
 
 // PackAInto packs alpha*a into buf (length at least PackALen(a.Rows,
-// a.Cols)) and returns the PackedA describing it. The pack records a copy
-// of a's header: MulAddPacked falls back to plain GEMM through it on
-// shapes below the packed threshold, so a's backing data must outlive the
-// pack even though the header itself may be recycled.
+// a.Cols)) and returns the PackedA describing it. Unless the pack is
+// standalone (PackStandalone), it records a copy of a's header:
+// MulAddPacked falls back to plain GEMM through it on shapes below the
+// packed threshold, so a's backing data must then outlive the pack even
+// though the header itself may be recycled. A standalone pack copies no
+// header and needs nothing of a once built.
 //
 //perf:hotpath
 func PackAInto(buf []float64, alpha float64, a *Matrix) PackedA {
@@ -564,9 +581,13 @@ func PackAInto(buf []float64, alpha float64, a *Matrix) PackedA {
 		panic("mat: PackAInto buffer too small")
 	}
 	packA(alpha, a, 0, a.Rows, buf[:need])
-	//lint:ignore perfescape the header copy is the documented one-time pack cost; MulAddPacked reads it without re-escaping
-	src := *a
-	return PackedA{rows: a.Rows, k: a.Cols, w: panelW, alpha: alpha, data: buf[:need], src: &src}
+	p := PackedA{rows: a.Rows, k: a.Cols, w: panelW, alpha: alpha, data: buf[:need]}
+	if !PackStandalone(a.Rows, a.Cols) {
+		//lint:ignore perfescape the header copy is the documented one-time pack cost; MulAddPacked reads it without re-escaping
+		src := *a
+		p.src = &src
+	}
+	return p
 }
 
 // NewPackedA allocates a fresh buffer and packs alpha*a into it. Factor
@@ -583,7 +604,8 @@ func NewPackedA(alpha float64, a *Matrix) PackedA {
 // read in place instead, with no packing and no scratch. Shapes PanelPacked
 // rejects fall back to plain GEMM on the recorded source operand, so the
 // result is bit-identical to GEMM(alpha, a, b, 1, dst) for every shape.
-// dst must be pa.Rows() x b.Cols and must not alias b.
+// A standalone pa never falls back. dst must be pa.Rows() x b.Cols and
+// must not alias b.
 //
 //perf:hotpath
 func MulAddPacked(dst *Matrix, pa PackedA, b *Matrix, bScratch []float64) {

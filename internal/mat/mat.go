@@ -161,6 +161,13 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 
 // Zero sets every element of m to zero.
 func (m *Matrix) Zero() {
+	if m.Stride == m.Cols {
+		// Contiguous rows: one bulk clear instead of a loop per row. The
+		// hot solve paths clear M x R panels whose views are full-width,
+		// so this is the common case.
+		clear(m.Data[:m.Rows*m.Cols])
+		return
+	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Data[i*m.Stride : i*m.Stride+m.Cols]
 		for j := range row {

@@ -159,6 +159,36 @@ func TestZeroAndSetIdentityOnView(t *testing.T) {
 	}
 }
 
+// TestZeroClearsExactlyTheMatrix covers both of Zero's paths: a
+// contiguous matrix, including a full-width row band of a parent, is
+// cleared in one call, and a view narrower than its parent clears its own
+// columns and keeps the parent's others.
+func TestZeroClearsExactlyTheMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	m := Random(5, 4, rng)
+	m.Zero()
+	if !m.Equal(New(5, 4)) {
+		t.Fatalf("contiguous Zero left %v", m)
+	}
+	p := Random(5, 4, rng)
+	want := p.Clone()
+	p.View(1, 0, 3, 4).Zero() // full-width band: contiguous
+	for i := 1; i < 4; i++ {
+		for j := 0; j < 4; j++ {
+			want.Set(i, j, 0)
+		}
+	}
+	p.View(0, 1, 5, 2).Zero() // narrower than its parent: row by row
+	for i := 0; i < 5; i++ {
+		want.Set(i, 1, 0)
+		want.Set(i, 2, 0)
+	}
+	if !p.Equal(want) {
+		t.Fatalf("Zero on views: got\n%v want\n%v", p, want)
+	}
+	New(0, 3).Zero() // empty: no panic
+}
+
 func TestEqualAndApprox(t *testing.T) {
 	a := NewFromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := NewFromSlice(2, 2, []float64{1, 2, 3, 4 + 1e-12})
