@@ -91,18 +91,28 @@ func TestBenchmarkWorkloadSanity(t *testing.T) {
 // BenchmarkARDSolve is the perf-regression anchor for the allocation-free
 // solve path (cmd/blocktri-bench -perf tracks the same configuration): the
 // headline N=512, M=16, P=8 system solved into a reused destination for a
-// single right-hand side and for panelized batches of 64 and 256. After the
-// warm-up solve the path performs zero heap allocations per op.
+// single right-hand side and for panelized batches of 64 and 256, plus the
+// one-right-hand-side time-stepping shape of _perfbench's step workload
+// (P=2, R=1), whose CPU profile is one run away:
+//
+//	go test -run '^$' -bench 'ARDSolve/P=2,R=1' -cpuprofile cpu.out .
+//
+// After the warm-up solve the path performs zero heap allocations per op.
 func BenchmarkARDSolve(b *testing.B) {
 	defer quietKernels()()
 	a := benchMatrix(512, 16)
-	ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
-	if err := ard.Factor(); err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range []int{1, 64, 256} {
-		b.Run(fmt.Sprintf("R=%d", r), func(b *testing.B) {
-			rhs := benchRHS(a, r, 2)
+	for _, c := range []struct {
+		name string
+		p, r int
+	}{{"R=1", 8, 1}, {"R=64", 8, 64}, {"R=256", 8, 256}, {"P=2,R=1", 2, 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			world := blocktri.NewWorld(c.p)
+			defer world.Close()
+			ard := blocktri.NewARD(a, blocktri.Config{World: world})
+			if err := ard.Factor(); err != nil {
+				b.Fatal(err)
+			}
+			rhs := benchRHS(a, c.r, 2)
 			x := blocktri.NewDenseMatrix(rhs.Rows, rhs.Cols)
 			if err := ard.SolveTo(x, rhs); err != nil { // warm the arenas
 				b.Fatal(err)

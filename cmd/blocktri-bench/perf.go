@@ -78,8 +78,8 @@ func bestOf3(f func(b *testing.B)) testing.BenchmarkResult {
 // configuration (N=512, M=16, P=8) for single, narrow (R=4, below one
 // 8-column panel) and batched right-hand sides, and the factor phase itself
 // at that configuration and at the service's fresh-matrix shape (N=128,
-// M=8, P=2). GFLOP/s uses the solver's analytic (nominal dense) flop
-// count.
+// M=8, P=2). GFLOP/s uses the solver's analytic count of the flops it
+// performs.
 func measureARDSolve() ([]perfEntry, error) {
 	a := workload.Build(workload.Oscillatory, 512, 16, 1)
 	ard := blocktri.NewARD(a, blocktri.Config{World: blocktri.NewWorld(8)})
@@ -141,9 +141,11 @@ func measureARDSolve() ([]perfEntry, error) {
 // measureGEMM benchmarks Mul across the kernel dispatch tiers: square
 // shapes (16 to 128), the skinny-panel shapes the panelized ARD solve
 // phase issues — a 32x32 transfer half against a 32xR right-hand-side
-// panel — and the narrow tier below one 8-column panel, where the unpacked
-// product reads A and B in place: an element step's 16x32 [TL TR]
-// half-product, unpacked, against one and four columns.
+// panel — and the unpacked narrow tier below one 8-column panel, where
+// the product reads A and B in place (RD's per-solve elements take it):
+// 16x32 against one and four columns. Then the packed width-1 tier every
+// one-column ARD element step takes: MulAddPacked of a prepacked 16x32
+// operand, [TL TR]'s shape at M=16, by one column.
 func measureGEMM() ([]perfEntry, error) {
 	var entries []perfEntry
 	shapes := []struct {
@@ -189,6 +191,22 @@ func measureGEMM() ([]perfEntry, error) {
 			GFlops:      flops / float64(res.NsPerOp()),
 		})
 	}
+
+	rng := rand.New(rand.NewSource(49))
+	pa := mat.NewPackedA(1, mat.Random(16, 32, rng))
+	col, dst := mat.Random(32, 1, rng), mat.New(16, 1)
+	res := bestOf3(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mat.MulAddPacked(dst, pa, col, nil)
+		}
+	})
+	entries = append(entries, perfEntry{
+		Name:        "MulAddPacked/m=16,k=32,n=1",
+		NsPerOp:     float64(res.NsPerOp()),
+		AllocsPerOp: res.AllocsPerOp(),
+		GFlops:      2 * 16 * 32 / float64(res.NsPerOp()),
+	})
 	return entries, nil
 }
 

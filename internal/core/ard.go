@@ -227,7 +227,7 @@ func (s *ARD) factorRank(c *comm.Comm) (int64, error) {
 		kept := e.keep(store)
 		st.elems = append(st.elems, kept)
 		if total != nil {
-			fc.add(gemmFlops(2*m, 2*m, 2*m))
+			fc.add(composeFlops(m))
 		}
 		dst := sbuf[len(st.elems)&1]
 		composeT(ws, dst, e.t.a, kept.t.p, total, bs)
@@ -332,18 +332,19 @@ func (s *ARD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	bs := ws.Floats(mat.PackBLen(2*m, rhs))
 
 	// Fold the chunk's elements into the local total H, h := T*h + F, from
-	// the zero state: each step reads its right-hand block in place through
-	// the stored operands, and the fold ping-pongs between two arena
-	// buffers.
-	hbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
-	var localTotalH *mat.Matrix
+	// the zero state: each step reads its right-hand block in place (one
+	// header, re-pointed per element) through the stored operands, and the
+	// fold alternates between two states.
+	hs := newStates(ws, m, rhs)
+	bi := wsBlockOf(ws, b, m, 0)
+	var h state
 	for k := range st.elems {
 		e := &st.elems[k]
-		dst := hbuf[k&1]
-		e.step(ws, dst, localTotalH, wsBlockOf(ws, b, m, e.idx-1), bs)
-		fc.add(stepFlops(m, rhs, localTotalH == nil))
-		localTotalH = dst
+		e.step(hs[k&1], h, b.ViewInto(bi, (e.idx-1)*m, 0, m, rhs), bs)
+		fc.add(stepFlops(m, rhs, h.all == nil))
+		h = hs[k&1]
 	}
+	localTotalH := h.all
 
 	// Replay the scan on the vector halves only. Each round moves its whole
 	// panel in one pooled message (packHMat builds the payload in a comm

@@ -30,12 +30,18 @@ import (
 // so both element operands (U^{-1}, 8x8, and [TL TR], 8x16) are standalone
 // packs on the FMA kernels and unpacked on the portable ones, and a random
 // system with M=5, where ARD keeps [TL TR] (5x10) as a pack on the FMA
-// kernels beside an unpacked U^{-1} (5x5).
+// kernels beside an unpacked U^{-1} (5x5). Three oscillatory systems give
+// the fused one-column step of two packs every slab shape: M=12 (one slab,
+// its second panel partial), M=16 (two full panels) and M=19 (a second
+// slab of one partial panel).
 func panelParitySystems(rng *rand.Rand) []*blocktri.Matrix {
 	return []*blocktri.Matrix{
 		blocktri.RandomDiagDominant(64, 8, rng),
 		blocktri.Oscillatory(24, 8, rng),
 		blocktri.RandomDiagDominant(32, 5, rng),
+		blocktri.Oscillatory(24, 12, rng),
+		blocktri.Oscillatory(24, 16, rng),
+		blocktri.Oscillatory(24, 19, rng),
 	}
 }
 

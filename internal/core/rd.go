@@ -105,9 +105,11 @@ func (rd *RD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	// two arena buffers per half.
 	elems := make([]element, 0, max(hi-first, 0))
 	sbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, 2*m), ws.GetNoClear(2*m, 2*m)}
-	hbuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
+	hs := newStates(ws, m, rhs)
+	bi := wsBlockOf(ws, b, m, 0)
 	cur := 0
 	localTotal := Affine{}
+	var h state
 	var buildErr error
 	for i := first; i < hi; i++ {
 		e, err := buildElement(ws, a, i)
@@ -117,15 +119,16 @@ func (rd *RD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 		}
 		fc.add(buildFlops(a, i-1))
 		elems = append(elems, e)
-		ns, nh := sbuf[cur], hbuf[cur]
+		ns, nh := sbuf[cur], hs[cur]
 		cur ^= 1
 		composeT(ws, ns, e.t.a, mat.PackedA{}, localTotal.S, nil)
-		e.step(ws, nh, localTotal.H, wsBlockOf(ws, b, m, i-1), nil)
+		e.step(nh, h, b.ViewInto(bi, (i-1)*m, 0, m, rhs), nil)
 		fc.add(stepFlops(m, rhs, localTotal.IsIdentity()))
 		if !localTotal.IsIdentity() {
-			fc.add(gemmFlops(2*m, 2*m, 2*m))
+			fc.add(composeFlops(m))
 		}
-		localTotal = Affine{S: ns, H: nh}
+		h = nh
+		localTotal = Affine{S: ns, H: h.all}
 	}
 	if !agree(c, buildErr) {
 		return fc.n, buildErr

@@ -138,43 +138,70 @@ func buildFlops(a *blocktri.Matrix, j int) int64 {
 	return f
 }
 
+// state is a 2M x R scan state y_i = [x_i ; x_{i-1}] with its halves
+// viewed once. The element steps of a fold or a recovery sweep alternate
+// between two states, so a step checks out no view header. The zero value
+// is the zero state entering a local fold.
+type state struct{ all, top, bot *mat.Matrix }
+
+// stateOf views the halves of the 2M x R matrix y.
+func stateOf(ws *mat.Workspace, y *mat.Matrix) state {
+	m := y.Rows / 2
+	return state{all: y, top: ws.View(y, 0, 0, m, y.Cols), bot: ws.View(y, m, 0, m, y.Cols)}
+}
+
+// newStates checks out the two states a sweep at width rhs alternates
+// between.
+func newStates(ws *mat.Workspace, m, rhs int) [2]state {
+	return [2]state{stateOf(ws, ws.GetNoClear(2*m, rhs)), stateOf(ws, ws.GetNoClear(2*m, rhs))}
+}
+
 // step computes dst = T*y + F (2M x R) for the element and its
 // right-hand block b = b_{i-1} (M x R, read in place), exploiting T's
 // block structure [[TL TR],[I 0]] and F's zero bottom half:
 //
 //	dst_top = U^{-1}*b + [TL TR]*y,  dst_bot = y_top
 //
-// A nil y is the zero state entering a local fold, for which dst = F. The
-// products add into a zeroed dst_top in this order whatever form the
-// operands take, so RD's unpacked elements and ARD's packed ones give the
-// same bits: both solvers route every element application, in the local
-// fold and in the recovery sweep, through here. dst must not alias y or
-// b; bs must hold mat.PackBLen(2M, R) floats for packed operands.
+// For the zero state y, dst = F. The products add into a zeroed dst_top in
+// this order whatever form the operands take (two packs go through
+// mat.MulPackedPair, which fuses the sequence at one column), so RD's
+// unpacked elements and ARD's packed ones give the same bits: both solvers
+// route every element application, in the local fold and in the recovery
+// sweep, through here. dst must not alias y or b; bs must hold
+// mat.PackBLen(2M, R) floats for packed operands.
 //
 //perf:hotpath
-func (e *element) step(ws *mat.Workspace, dst, y, b *mat.Matrix, bs []float64) {
-	m, rhs := b.Rows, b.Cols
-	dTop, dBot := ws.View(dst, 0, 0, m, rhs), ws.View(dst, m, 0, m, rhs)
-	dTop.Zero()
-	e.u.mulAdd(dTop, b, bs)
-	if y == nil {
-		dBot.Zero()
+func (e *element) step(dst, y state, b *mat.Matrix, bs []float64) {
+	switch {
+	case y.all == nil:
+		dst.top.Zero()
+		e.u.mulAdd(dst.top, b, bs)
+		dst.bot.Zero()
 		return
+	case e.u.p.Valid() && e.t.p.Valid():
+		mat.MulPackedPair(dst.top, e.u.p, b, e.t.p, y.all, bs)
+	default:
+		dst.top.Zero()
+		e.u.mulAdd(dst.top, b, bs)
+		e.t.mulAdd(dst.top, y.all, bs)
 	}
-	e.t.mulAdd(dTop, y, bs)
-	dBot.CopyFrom(ws.View(y, 0, 0, m, rhs))
+	dst.bot.CopyFrom(y.top)
 }
 
-// stepFlops is the operation count of one step at width rhs: the U^{-1}
-// product, and for a nonzero state T applied as the dense 2M x 2M product
-// it is counted as, plus adding F.
+// stepFlops is the operation count of one step at width rhs, as
+// performed: the U^{-1} product, and for a nonzero state the [TL TR]
+// product added to it (F's nonzero half); dst_bot is a copy.
 func stepFlops(m, rhs int, zeroState bool) int64 {
 	f := gemmFlops(m, m, rhs)
 	if !zeroState {
-		f += gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs)
+		f += gemmFlops(m, 2*m, rhs) + addFlops(m, rhs)
 	}
 	return f
 }
+
+// composeFlops is composeT's operation count for a non-nil s: the
+// [TL TR] product. dst_bot is a copy (its +0 only normalizes a -0).
+func composeFlops(m int) int64 { return gemmFlops(m, 2*m, 2*m) }
 
 // composeT computes dst = T*s for an element's transfer matrix
 // T = [[TL TR],[I 0]], given its top half, and a 2M-row s (nil stands for
@@ -252,26 +279,27 @@ func applyPrefixState(ws *mat.Workspace, m int, s *mat.Matrix, sp mat.PackedA, h
 // propagates it through the chunk's elements, y_i = T_i*y_{i-1} + F_i
 // with F_i's U^{-1} product recomputed from b, writing each x_i = y_i[0:M]
 // into x (and x_0 = x0 on the rank that owns block row 0, [lo, hi) being
-// the rank's block rows). The propagation ping-pongs between two arena
-// buffers.
+// the rank's block rows). The propagation alternates between two states,
+// and one header each for b's and x's block is re-pointed per element.
 func recoverChunk(ws *mat.Workspace, fc *flopCounter, x, b, x0 *mat.Matrix, lo, hi int,
 	s *mat.Matrix, sp mat.PackedA, h *mat.Matrix, elems []element, bs []float64) {
 	m, rhs := x0.Rows, x0.Cols
 	if lo == 0 && hi > 0 {
 		wsBlockOf(ws, x, m, 0).CopyFrom(x0)
 	}
-	y := applyPrefixState(ws, m, s, sp, h, x0, bs)
+	y := stateOf(ws, applyPrefixState(ws, m, s, sp, h, x0, bs))
 	if s != nil {
 		fc.add(gemmFlops(2*m, m, rhs) + addFlops(2*m, rhs))
 	}
-	ybuf := [2]*mat.Matrix{ws.GetNoClear(2*m, rhs), ws.GetNoClear(2*m, rhs)}
+	ys := newStates(ws, m, rhs)
+	bi, xi := wsBlockOf(ws, b, m, 0), wsBlockOf(ws, x, m, 0)
 	for k := range elems {
 		e := &elems[k]
-		dst := ybuf[k&1]
-		e.step(ws, dst, y, wsBlockOf(ws, b, m, e.idx-1), bs)
+		dst := ys[k&1]
+		e.step(dst, y, b.ViewInto(bi, (e.idx-1)*m, 0, m, rhs), bs)
 		y = dst
 		fc.add(stepFlops(m, rhs, false))
-		wsBlockOf(ws, x, m, e.idx).CopyFrom(ws.View(y, 0, 0, m, rhs))
+		x.ViewInto(xi, e.idx*m, 0, m, rhs).CopyFrom(y.top)
 	}
 }
 

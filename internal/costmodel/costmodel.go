@@ -161,7 +161,8 @@ func RDSolve(p Params) Cost {
 	combine := gemmFlops(2*m, 2*m, 2*m) + gemmFlops(2*m, 2*m, r) + addFlops(2*m, r)
 
 	// Phase 1: element construction (U's LU and the [-D -L I] solve) and
-	// local reduction, each step multiplying U^{-1} into its block of b.
+	// local reduction, each step multiplying U^{-1} into its block of b and
+	// each later one composing through T's structure.
 	for rank := 0; rank < pr; rank++ {
 		lo, hi := core.PartRange(n, pr, rank)
 		first := lo
@@ -171,7 +172,7 @@ func RDSolve(p Params) Cost {
 		for i := first; i < hi; i++ {
 			perRank[rank] += elementFlops(m, i) + gemmFlops(m, m, r)
 			if i > first {
-				perRank[rank] += combine
+				perRank[rank] += composeT(m) + applyT(m, r)
 			}
 		}
 	}
@@ -214,12 +215,23 @@ func elementFlops(m, i int) int64 {
 	return f
 }
 
+// The element operations the local scans and sweeps perform through T's
+// block structure [[TL TR],[I 0]]: only the M x 2M top half multiplies,
+// and the bottom half is a copy.
+//
+// composeT is one local compose of the matrix halves, [TL TR] times a
+// 2M x 2M S.
+func composeT(m int) int64 { return gemmFlops(m, 2*m, 2*m) }
+
+// applyT is one element step's T product on a nonzero state, [TL TR]
+// times a 2M x R panel, added to the U^{-1} product (F's nonzero half).
+func applyT(m, r int) int64 { return gemmFlops(m, 2*m, r) + addFlops(m, r) }
+
 // recovery adds RD's and ARD's shared recovery sweep to perRank: the
 // prefix state on ranks with a non-identity prefix, then one element step
-// per element, the U^{-1} product plus T applied as a dense 2M x 2M
-// product with F added.
+// per element, the U^{-1} product plus T applied through its structure.
 func recovery(perRank []int64, st *scanState, elems []int, m, r int) {
-	step := gemmFlops(m, m, r) + gemmFlops(2*m, 2*m, r) + addFlops(2*m, r)
+	step := gemmFlops(m, m, r) + applyT(m, r)
 	for rank := range perRank {
 		if st.preNonID[rank] {
 			perRank[rank] += gemmFlops(2*m, m, r) + addFlops(2*m, r)
@@ -247,7 +259,7 @@ func ARDFactor(p Params) Cost {
 		for i := first; i < hi; i++ {
 			perRank[rank] += elementFlops(m, i)
 			if i > first {
-				perRank[rank] += combineS
+				perRank[rank] += composeT(m)
 			}
 		}
 	}
@@ -291,7 +303,7 @@ func ARDSolve(p Params) Cost {
 		e := elems[rank]
 		perRank[rank] += int64(e) * gemmFlops(m, m, r)
 		if e > 1 {
-			perRank[rank] += int64(e-1) * combineH
+			perRank[rank] += int64(e-1) * applyT(m, r)
 		}
 	}
 	var scanWords int64

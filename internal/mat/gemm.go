@@ -231,6 +231,33 @@ func mulNarrowPacked(rows, k int, pA []float64, b, dst *Matrix) {
 	}
 }
 
+// colSlab is the row count of one column-kernel call: two 8-row panels,
+// whose chains run side by side.
+const colSlab = 2 * avxPanelW
+
+// mulColPacked adds the product of the 8-row packed panels pA (rows x k)
+// and the single column b, read in place, into the contiguous single
+// column dst, one 16-row slab per kernel call.
+func mulColPacked(rows, k int, pA []float64, b, dst *Matrix) {
+	panel := avxPanelW * k
+	for i, p := 0, 0; i < rows; i, p = i+colSlab, p+2*panel {
+		n := min(colSlab, rows-i)
+		fmaColAsm(k, &pA[p], &pA[secondPanel(p, panel, n)], &b.Data[0], b.Stride, &dst.Data[i], n)
+	}
+}
+
+// secondPanel returns the offset of the second packed panel of a slab of
+// n rows whose first panel starts at p, or p itself when the rows fit one
+// panel: the column kernels then compute that chain twice and store one.
+//
+//perf:inline
+func secondPanel(p, panel, n int) int {
+	if n > avxPanelW {
+		return p + panel
+	}
+	return p
+}
+
 // gemv accumulates alpha*a*x into the single-column dst: the portable
 // right-hand-side paths are dominated by this shape, where the tiled
 // kernel's slicing overhead would dwarf the two flops per element.
@@ -596,12 +623,28 @@ func NewPackedA(alpha float64, a *Matrix) PackedA {
 	return PackAInto(make([]float64, PackALen(a.Rows, a.Cols)), alpha, a)
 }
 
+// checkPacked panics unless dst += pa*b is a well-formed packed product.
+//
+//perf:inline
+func checkPacked(dst *Matrix, pa PackedA, b *Matrix) {
+	if !pa.Valid() {
+		panic("mat: packed product on zero PackedA")
+	}
+	if pa.k != b.Rows || dst.Rows != pa.rows || dst.Cols != b.Cols {
+		panic("mat: packed product shape mismatch")
+	}
+	if pa.w != panelW {
+		panic("mat: packed product panel width mismatch")
+	}
+}
+
 // MulAddPacked computes dst += alpha*A*b where alpha*A was prepacked into
 // pa. b is packed into bScratch (length at least PackBLen(b.Rows, b.Cols);
 // pass nil to draw from the internal pool) and the product runs on the
 // register-blocked kernels, splitting row bands across goroutines for
 // large shapes when parallelism is enabled; a b narrower than one panel is
-// read in place instead, with no packing and no scratch. Shapes PanelPacked
+// read in place instead, with no packing and no scratch, and a single
+// column into a contiguous dst runs the column kernel. Shapes PanelPacked
 // rejects fall back to plain GEMM on the recorded source operand, so the
 // result is bit-identical to GEMM(alpha, a, b, 1, dst) for every shape.
 // A standalone pa never falls back. dst must be pa.Rows() x b.Cols and
@@ -609,15 +652,7 @@ func NewPackedA(alpha float64, a *Matrix) PackedA {
 //
 //perf:hotpath
 func MulAddPacked(dst *Matrix, pa PackedA, b *Matrix, bScratch []float64) {
-	if !pa.Valid() {
-		panic("mat: MulAddPacked on zero PackedA")
-	}
-	if pa.k != b.Rows || dst.Rows != pa.rows || dst.Cols != b.Cols {
-		panic("mat: MulAddPacked shape mismatch")
-	}
-	if pa.w != panelW {
-		panic("mat: MulAddPacked panel width mismatch")
-	}
+	checkPacked(dst, pa, b)
 	if !panelOK(pa.rows, pa.k, b.Cols) {
 		GEMM(pa.alpha, pa.src, b, 1, dst)
 		return
@@ -625,7 +660,10 @@ func MulAddPacked(dst *Matrix, pa PackedA, b *Matrix, bScratch []float64) {
 	if b.Cols < avxPanelW {
 		// Only the FMA kernels admit narrow panels (the portable rule needs
 		// n >= packMinDim).
-		if b.Cols > 0 {
+		switch {
+		case b.Cols == 1 && dst.Stride == 1:
+			mulColPacked(pa.rows, pa.k, pa.data, b, dst)
+		case b.Cols > 0:
 			mulNarrowPacked(pa.rows, pa.k, pa.data, b, dst)
 		}
 		return
@@ -649,6 +687,34 @@ func MulAddPacked(dst *Matrix, pa PackedA, b *Matrix, bScratch []float64) {
 	}
 	if pbuf != nil {
 		putPackBuf(pbuf)
+	}
+}
+
+// MulPackedPair sets dst = A*b + C*c for two prepacked operands with the
+// same row count, bit for bit what dst.Zero() followed by
+// MulAddPacked(dst, pa, b, .) and MulAddPacked(dst, pc, c, .) gives,
+// including the +0 the zeroed dst contributes. At a single right-hand
+// column into a contiguous dst, with both operands on the FMA kernels and
+// pa.K() <= pc.K(), each 16-row slab of both products runs in one
+// column-kernel call: no zeroing pass, and all four chains in flight. Any
+// other shape runs that three-call sequence. bScratch is as for
+// MulAddPacked; dst must not alias b or c.
+//
+//perf:hotpath
+func MulPackedPair(dst *Matrix, pa PackedA, b *Matrix, pc PackedA, c *Matrix, bScratch []float64) {
+	if b.Cols != 1 || dst.Stride != 1 || pa.k > pc.k || !panelOK(pa.rows, pa.k, 1) || !panelOK(pc.rows, pc.k, 1) {
+		dst.Zero()
+		MulAddPacked(dst, pa, b, bScratch)
+		MulAddPacked(dst, pc, c, bScratch)
+		return
+	}
+	checkPacked(dst, pa, b)
+	checkPacked(dst, pc, c)
+	sa, sc := avxPanelW*pa.k, avxPanelW*pc.k
+	for i, p, q := 0, 0, 0; i < pa.rows; i, p, q = i+colSlab, p+2*sa, q+2*sc {
+		n := min(colSlab, pa.rows-i)
+		fmaColPairAsm(pa.k, &pa.data[p], &pa.data[secondPanel(p, sa, n)], &b.Data[0], b.Stride,
+			pc.k, &pc.data[q], &pc.data[secondPanel(q, sc, n)], &c.Data[0], c.Stride, &dst.Data[i], n)
 	}
 }
 

@@ -11,9 +11,11 @@ import "os"
 //
 // The kernels share one arithmetic: an output element is a single FMA
 // chain over k in ascending order, started from zero, added into dst once
-// (the substitution applies its row updates in a fixed order instead).
-// Lanes are independent, so a column's bits never depend on the width of
-// the panel it was solved in.
+// (the substitution applies its row updates in a fixed order instead; the
+// pair kernel adds two chains into a dst it treats as zeroed). Whether a
+// register holds one row's columns or, at one right-hand column, a
+// panel's rows, lanes are independent, so a column's bits never depend on
+// the width of the panel it was solved in.
 
 // kernel8x8Asm adds one full 8x8 tile of packed panels into dst: the
 // arithmetic of fmaPackedAsm, with unmasked loads and stores.
@@ -33,6 +35,24 @@ func fmaPackedAsm(k int, pa, b *float64, ldb, n int, dst *float64, ldd, mr int)
 //
 //go:noescape
 func fmaRowsAsm(k int, a *float64, lda int, sign uint64, b *float64, ldb, n int, dst *float64, ldd, mr int)
+
+// fmaColAsm adds panelA*b into the first mr rows of a contiguous dst at a
+// single right-hand column (mr in [1, 16]), for one slab of two k-major
+// 8-row packed panels (pa1 = pa0 when the slab has one) and b's values ldb
+// elements apart: the arithmetic of fmaPackedAsm at n = 1, with a panel's
+// rows in the lanes of one register instead of one lane of eight.
+//
+//go:noescape
+func fmaColAsm(k int, pa0, pa1, b *float64, ldb int, dst *float64, mr int)
+
+// fmaColPairAsm sets the first mr rows of a contiguous dst to
+// (+0 + panelA*b) + panelC*y at a single right-hand column, for one slab
+// of packed operands A (k1 columns, panels a0 and a1) and C (k2 >= k1
+// columns, panels c0 and c1), clamped as for fmaColAsm: bit for bit what
+// zeroing dst and adding the two products into it with fmaColAsm gives.
+//
+//go:noescape
+func fmaColPairAsm(k1 int, a0, a1, b *float64, ldb, k2 int, c0, c1, y *float64, ldy int, dst *float64, mr int)
 
 // substitute1Asm, substitute2Asm and substitute4Asm run the forward and
 // back substitution of an n x n LU factorization (factors f, row stride

@@ -3,21 +3,29 @@
 //
 // Every product kernel here computes each output element as one FMA chain
 // over k in ascending order, started from zero, and adds the chain's total
-// into dst once. The triangular kernels update each element by one FMA per
-// factor entry, in the same fixed order at every panel width. Lanes never
-// interact, so an element's bits depend only on its own row of A (or the
-// factors) and its own column of B, never on how many columns share the
-// call.
+// into dst once; fmaColPairAsm adds two such chains, one per operand, into
+// a dst it treats as zeroed, as two single-operand calls after a zeroing
+// pass would. A kernel may hold a panel's rows in the lanes of one
+// register (the column kernels, at one right-hand column) or one row per
+// register (the others); the chains are the same. The triangular kernels
+// update each element by one FMA per factor entry, in the same fixed order
+// at every panel width. Lanes never interact, so an element's bits depend
+// only on its own row of A (or the factors) and its own column of B, never
+// on how many columns share the call.
 
 #include "textflag.h"
 
-// FMA_MASK sets K1 to the low n lanes, n in [1, 8], from the named argument.
-#define FMA_MASK(narg) \
-	MOVQ narg, CX; \
+// LANE_MASK sets K1 to the low CX lanes, CX in [1, 8].
+#define LANE_MASK \
 	MOVL $1, AX; \
 	SHLQ CX, AX; \
 	DECQ AX; \
 	KMOVW AX, K1
+
+// FMA_MASK sets K1 to the low n lanes, n in [1, 8], from the named argument.
+#define FMA_MASK(narg) \
+	MOVQ narg, CX; \
+	LANE_MASK
 
 // FMA_STORE stores accumulator acc into the masked lanes of the dst row at
 // ptr and stops after CX rows.
@@ -270,6 +278,146 @@ writeback:
 	FMA_WRITEBACK(dst+56(FP), ldd+64(FP), mr+72(FP))
 
 done:
+	VZEROUPPER
+	RET
+
+// func fmaColAsm(k int, pa0, pa1, b *float64, ldb int, dst *float64, mr int)
+//
+// One slab of up to 16 rows of dst += panelA * b at a single right-hand
+// column: pa0 and pa1 are the slab's two k-major 8-row packed panels (pa1
+// = pa0 when the slab has one panel; that chain is computed and dropped),
+// b is k values ldb elements apart, and dst is contiguous. Row i of a
+// panel accumulates in lane i of Z0 (first panel) or Z1 (second): each k
+// step broadcasts b[kq] and folds in each panel's packed column whole, so
+// one FMA does the work of the eight one-lane FMAs fmaPackedAsm spends on
+// a single column, with the same operands in the same order. The totals
+// are added into the first mr rows of dst (mr in [1, 16]) once at the end.
+TEXT ·fmaColAsm(SB), NOSPLIT, $0-56
+	MOVQ k+0(FP), CX
+	MOVQ pa0+8(FP), SI
+	MOVQ pa1+16(FP), DI
+	MOVQ b+24(FP), DX
+	MOVQ ldb+32(FP), R8
+	SHLQ $3, R8              // element stride -> byte stride
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	TESTQ CX, CX
+	JZ    writeback
+
+kloop:
+	VBROADCASTSD (DX), Z8
+	VFMADD231PD (SI), Z8, Z0
+	VFMADD231PD (DI), Z8, Z1
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  kloop
+
+writeback:
+	MOVQ dst+40(FP), DI
+	MOVQ mr+48(FP), CX
+	CMPQ CX, $8
+	JGT  twopanels
+	LANE_MASK
+	VMOVUPD.Z (DI), K1, Z16
+	VADDPD Z16, Z0, Z0
+	VMOVUPD Z0, K1, (DI)
+	VZEROUPPER
+	RET
+
+twopanels:
+	SUBQ $8, CX
+	LANE_MASK
+	VMOVUPD (DI), Z16
+	VMOVUPD.Z 64(DI), K1, Z17
+	VADDPD Z16, Z0, Z0
+	VADDPD Z17, Z1, Z1
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, K1, 64(DI)
+	VZEROUPPER
+	RET
+
+// func fmaColPairAsm(k1 int, a0, a1, b *float64, ldb, k2 int, c0, c1, y *float64, ldy int, dst *float64, mr int)
+//
+// One slab of dst = (+0 + panelA * b) + panelC * y at a single right-hand
+// column, for packed operands A (k1 columns, panels a0 and a1) and C
+// (k2 >= k1 columns, panels c0 and c1), clamped as in fmaColAsm. A's
+// chains (Z0, Z1) and C's (Z2, Z3) run interleaved for k1 steps and C's
+// alone for the rest. The totals combine as adding each product into a
+// zeroed dst would, the chain always the first operand: Z0 + 0, then
+// Z2 + (Z0 + 0). dst is written, never read, in its first mr rows.
+TEXT ·fmaColPairAsm(SB), NOSPLIT, $0-96
+	MOVQ k1+0(FP), CX
+	MOVQ a0+8(FP), SI
+	MOVQ a1+16(FP), DI
+	MOVQ b+24(FP), DX
+	MOVQ ldb+32(FP), R8
+	SHLQ $3, R8
+	MOVQ k2+40(FP), BX
+	SUBQ CX, BX              // C's steps past A's last
+	MOVQ c0+48(FP), R9
+	MOVQ c1+56(FP), R10
+	MOVQ y+64(FP), R11
+	MOVQ ldy+72(FP), R12
+	SHLQ $3, R12
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	TESTQ CX, CX
+	JZ    ctail
+
+pairloop:
+	VBROADCASTSD (DX), Z8
+	VBROADCASTSD (R11), Z9
+	VFMADD231PD (SI), Z8, Z0
+	VFMADD231PD (DI), Z8, Z1
+	VFMADD231PD (R9), Z9, Z2
+	VFMADD231PD (R10), Z9, Z3
+	ADDQ $64, SI
+	ADDQ $64, DI
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ R8, DX
+	ADDQ R12, R11
+	DECQ CX
+	JNZ  pairloop
+
+ctail:
+	TESTQ BX, BX
+	JZ    writeback
+
+cloop:
+	VBROADCASTSD (R11), Z9
+	VFMADD231PD (R9), Z9, Z2
+	VFMADD231PD (R10), Z9, Z3
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ R12, R11
+	DECQ BX
+	JNZ  cloop
+
+writeback:
+	VPXORQ Z16, Z16, Z16
+	VADDPD Z16, Z0, Z0
+	VADDPD Z16, Z1, Z1
+	VADDPD Z0, Z2, Z2
+	VADDPD Z1, Z3, Z3
+	MOVQ dst+80(FP), DI
+	MOVQ mr+88(FP), CX
+	CMPQ CX, $8
+	JGT  twopanels
+	LANE_MASK
+	VMOVUPD Z2, K1, (DI)
+	VZEROUPPER
+	RET
+
+twopanels:
+	SUBQ $8, CX
+	LANE_MASK
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z3, K1, 64(DI)
 	VZEROUPPER
 	RET
 

@@ -19,6 +19,14 @@ func fmaRowsAsm(k int, a *float64, lda int, sign uint64, b *float64, ldb, n int,
 	panic("mat: fmaRowsAsm without AVX-512")
 }
 
+func fmaColAsm(k int, pa0, pa1, b *float64, ldb int, dst *float64, mr int) {
+	panic("mat: fmaColAsm without AVX-512")
+}
+
+func fmaColPairAsm(k1 int, a0, a1, b *float64, ldb, k2 int, c0, c1, y *float64, ldy int, dst *float64, mr int) {
+	panic("mat: fmaColPairAsm without AVX-512")
+}
+
 func substitute1Asm(n int, f *float64, ldf int, b *float64, ldb int) {
 	panic("mat: substitute1Asm without AVX-512")
 }

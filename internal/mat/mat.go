@@ -105,14 +105,14 @@ func (m *Matrix) IsView() bool { return m.Stride != m.Cols }
 // (i, j). The view shares storage with m; writes through the view are
 // visible in m.
 func (m *Matrix) View(i, j, r, c int) *Matrix {
-	v := new(Matrix)
-	m.viewInto(v, i, j, r, c)
-	return v
+	return m.ViewInto(new(Matrix), i, j, r, c)
 }
 
-// viewInto fills dst with the (i, j, r, c) sub-matrix view of m. It backs
-// both View (fresh header) and Workspace.View (pooled header).
-func (m *Matrix) viewInto(dst *Matrix, i, j, r, c int) {
+// ViewInto points the header dst at the (i, j, r, c) sub-matrix view of m
+// and returns it. It backs View (fresh header) and Workspace.View (pooled
+// header); a hot loop re-points one header per iteration with it instead
+// of checking out a fresh one.
+func (m *Matrix) ViewInto(dst *Matrix, i, j, r, c int) *Matrix {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("mat: view (%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
@@ -123,9 +123,10 @@ func (m *Matrix) viewInto(dst *Matrix, i, j, r, c int) {
 	dst.Rows, dst.Cols, dst.Stride = r, c, m.Stride
 	if r == 0 || c == 0 {
 		dst.Data = nil
-		return
+		return dst
 	}
 	dst.Data = m.Data[i*m.Stride+j : (i+r-1)*m.Stride+j+c]
+	return dst
 }
 
 // Row returns a view of row i as a 1 x Cols matrix.

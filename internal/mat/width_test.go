@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -170,10 +171,26 @@ func TestLUSolveContract(t *testing.T) {
 	}
 }
 
+// outsideUntouched fails t if an element of big outside its (i, j, r, c)
+// sub-matrix differs from orig.
+func outsideUntouched(t *testing.T, what string, big, orig *Matrix, i0, j0, r, c int) {
+	t.Helper()
+	for i := 0; i < big.Rows; i++ {
+		for j := 0; j < big.Cols; j++ {
+			inside := i >= i0 && i < i0+r && j >= j0 && j < j0+c
+			if !inside && math.Float64bits(big.At(i, j)) != math.Float64bits(orig.At(i, j)) {
+				t.Fatalf("%s: element (%d,%d) outside the view was written", what, i, j)
+			}
+		}
+	}
+}
+
 // TestNarrowKernelsOnViews runs the narrow kernels on strided views of
 // larger matrices for A, B and dst alike, and checks that nothing outside
-// the destination view is written; then the same for an LU solve in place
-// on a view.
+// the destination view is written; then the same for a packed A at one
+// column, read from a strided b into a contiguous dst (the column kernel,
+// two slabs, the second partial) and into a strided one; then for an LU
+// solve in place on a view.
 func TestNarrowKernelsOnViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	bigA, bigB := Random(40, 40, rng), Random(40, 40, rng)
@@ -190,14 +207,25 @@ func TestNarrowKernelsOnViews(t *testing.T) {
 	if fmaKernels && !dst.Equal(want) {
 		t.Error("narrow product on views not bitwise equal to the contiguous product")
 	}
-	for i := 0; i < bigD.Rows; i++ {
-		for j := 0; j < bigD.Cols; j++ {
-			inside := i >= 4 && i < 23 && j >= 7 && j < 10
-			if !inside && bigD.At(i, j) != orig.At(i, j) {
-				t.Fatalf("element (%d,%d) outside the destination view was written", i, j)
-			}
+	outsideUntouched(t, "narrow product", bigD, orig, 4, 7, 19, 3)
+
+	pa := NewPackedA(1, a)
+	bcol := b.View(0, 1, 16, 1)
+	for _, big := range []*Matrix{Random(30, 1, rng), Random(30, 30, rng)} {
+		orig := big.Clone()
+		dst := big.View(4, 0, 19, 1)
+		want := dst.Clone()
+		MulAdd(want, a, bcol)
+		MulAddPacked(dst, pa, bcol, nil)
+		if !dst.EqualApprox(want, 1e-12) {
+			t.Fatalf("packed width-1 product on views (dst stride %d) wrong", dst.Stride)
 		}
+		if fmaKernels && !dst.Equal(want) {
+			t.Errorf("packed width-1 product on views (dst stride %d) != the unpacked product bitwise", dst.Stride)
+		}
+		outsideUntouched(t, "packed width-1 product", big, orig, 4, 0, 19, 1)
 	}
+
 	lu, err := Factor(RandomDiagDominant(12, 1, rng))
 	if err != nil {
 		t.Fatal(err)
@@ -211,11 +239,79 @@ func TestNarrowKernelsOnViews(t *testing.T) {
 		if !view.EqualApprox(want, 1e-12) {
 			t.Fatalf("r=%d: LU solve on a view wrong", r)
 		}
-		for i := 0; i < bigB.Rows; i++ {
-			for j := 0; j < bigB.Cols; j++ {
-				inside := i >= 5 && i < 17 && j >= 2 && j < 2+r
-				if !inside && bigB.At(i, j) != orig.At(i, j) {
-					t.Fatalf("r=%d: element (%d,%d) outside the solved view was written", r, i, j)
+		outsideUntouched(t, fmt.Sprintf("r=%d LU solve", r), bigB, orig, 5, 2, 12, r)
+	}
+}
+
+// withSign sets every element of v to sign*|v|.
+func withSign(v *Matrix, sign float64) {
+	for i := 0; i < v.Rows; i++ {
+		for j := 0; j < v.Cols; j++ {
+			v.Set(i, j, math.Copysign(v.At(i, j), sign))
+		}
+	}
+}
+
+// TestMulPackedPairMatchesSequence pins the two-operand entry against the
+// sequence it stands for, dst.Zero() and then MulAddPacked of each
+// operand, bit for bit with signed zeros told apart. Row counts leave
+// partial panels and slabs; k1 <= k2 takes the fused column kernel at one
+// column into a contiguous dst view, while k1 > k2 and three columns take
+// the sequence; b and c are strided views. Two sign cases must give +0,
+// the sign the zeroed dst gives: all-zero operands times right-hand sides
+// of negative values and a -0 (a chain started from its first product
+// would give -0), and operands whose only products underflow to -0 (each
+// chain ends at -0, and only the zeroed dst's +0 turns the sum positive).
+func TestMulPackedPairMatchesSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, rows := range []int{1, 5, 8, 12, 16, 17, 32} {
+		for _, k := range [][2]int{{8, 8}, {8, 16}, {11, 23}, {16, 32}, {32, 32}, {16, 8}} {
+			for _, n := range []int{1, 3} {
+				for _, signs := range []string{"random", "zero", "underflow"} {
+					a, c := Random(rows, k[0], rng), Random(rows, k[1], rng)
+					bBig, cBig := Random(k[0], n+2, rng), Random(k[1], n+2, rng)
+					b, cv := bBig.View(0, 1, k[0], n), cBig.View(0, 2, k[1], n)
+					switch signs {
+					case "zero":
+						a.Zero()
+						c.Zero()
+						withSign(b, -1)
+						withSign(cv, -1)
+						b.Set(k[0]/2, 0, math.Copysign(0, -1))
+						cv.Set(k[1]/2, 0, math.Copysign(0, -1))
+					case "underflow":
+						// Every product of row rows-1, column 0 is -0 or rounds
+						// to -0 (c is packed negated).
+						a.Zero()
+						c.Zero()
+						withSign(b, -1)
+						withSign(cv, 1)
+						a.Set(rows-1, 0, 1e-200)
+						c.Set(rows-1, 0, 1e-200)
+						b.Set(0, 0, -1e-200)
+						cv.Set(0, 0, 1e-200)
+					}
+					pa, pc := NewPackedA(1, a), NewPackedA(-1, c)
+					want := New(rows, n)
+					MulAddPacked(want, pa, b, nil)
+					MulAddPacked(want, pc, cv, nil)
+					big := Random(rows+6, n, rng)
+					orig := big.Clone()
+					got := big.View(3, 0, rows, n)
+					MulPackedPair(got, pa, b, pc, cv, make([]float64, PackBLen(max(k[0], k[1]), n)))
+					what := fmt.Sprintf("rows=%d k=%v n=%d %s", rows, k, n, signs)
+					for i := 0; i < rows; i++ {
+						for j := 0; j < n; j++ {
+							g, w := got.At(i, j), want.At(i, j)
+							if math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("%s: (%d,%d) is %v, the zero-and-add sequence gives %v", what, i, j, g, w)
+							}
+							if signs != "random" && math.Float64bits(g) == 1<<63 {
+								t.Fatalf("%s: (%d,%d) is -0, want the +0 of a zeroed dst", what, i, j)
+							}
+						}
+					}
+					outsideUntouched(t, what, big, orig, 3, 0, rows, n)
 				}
 			}
 		}

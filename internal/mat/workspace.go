@@ -175,9 +175,7 @@ func (w *Workspace) CloneOf(src *Matrix) *Matrix {
 // same semantics as (*Matrix).View. Hot solve loops use this instead of
 // View so that header escape cannot reintroduce per-iteration allocation.
 func (w *Workspace) View(m *Matrix, i, j, r, c int) *Matrix {
-	v := w.header()
-	m.viewInto(v, i, j, r, c)
-	return v
+	return m.ViewInto(w.header(), i, j, r, c)
 }
 
 // LU checks out an arena-backed pivoted LU factorization of a. The input is

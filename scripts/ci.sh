@@ -46,7 +46,9 @@ go run -race ./cmd/blocktri-chaos -service -seed 1 -tenants 5 -requests 120
 # factor (ARDFactor/N=512,M=16,P=8 at the solve entries' configuration and
 # ARDFactor/N=128,M=8,P=2 at the service's fresh-matrix shape), the
 # GEMM kernel tiers including the skinny panel shapes the panelized solve
-# issues and the narrow tier (GEMM/m=16,k=32,n={1,4}), the lint suite, and
+# issues, the unpacked narrow tier (GEMM/m=16,k=32,n={1,4}) and the packed
+# width-1 tier of the one-column ARD step (MulAddPacked/m=16,k=32,n=1),
+# the lint suite, and
 # the serve warm-factor path (wider, budget-backed gates; see
 # perf_serve.go). After an intentional perf change, refresh the baselines
 # with `make bench-baseline`.
