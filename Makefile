@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-cold lint-sarif lint-stats lint-watch lint-concurrency lint-perf test race bench bench-panel bench-baseline bench-compare verify chaos chaos-soak serve-chaos experiments experiments-quick ci clean
+.PHONY: all build vet lint lint-sarif lint-concurrency lint-perf test race bench bench-panel bench-baseline bench-compare verify chaos chaos-soak serve-chaos experiments experiments-quick ci clean
 
 all: build vet lint test
 
@@ -12,27 +12,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Incremental by default: findings replay from .blocktri-lint-cache/ for
-# packages whose content and dependencies are unchanged.
 lint:
 	$(GO) run ./cmd/blocktri-lint ./...
-
-# Force a cold run (analyze everything, persist nothing).
-lint-cold:
-	$(GO) run ./cmd/blocktri-lint -no-cache ./...
 
 # Same findings as `lint`, rendered as SARIF 2.1.0 for code-scanning UIs.
 lint-sarif:
 	mkdir -p reports
 	$(GO) run ./cmd/blocktri-lint -format sarif ./... > reports/lint.sarif
-
-# Lint with per-analyzer timing and cache/summary counters on stderr.
-lint-stats:
-	$(GO) run ./cmd/blocktri-lint -stats ./...
-
-# Re-lint on every change, printing finding deltas, until interrupted.
-lint-watch:
-	$(GO) run ./cmd/blocktri-lint -watch ./...
 
 # Just the concurrency-safety trio (goroutine leaks, lock ordering,
 # context flow) — a quick gate while working on the service stack.
@@ -40,8 +26,8 @@ lint-concurrency:
 	$(GO) run ./cmd/blocktri-lint -analyzers goleak,lockorder,ctxflow ./...
 
 # Just the performance-contract quartet (escape, bounds-check, inlining,
-# assembly ABI). The first run invokes the Go toolchain for compiler
-# evidence (seconds); later runs replay the fact table from the cache.
+# assembly ABI). Each run invokes the Go toolchain once for compiler
+# evidence (seconds, mostly replayed from the go build cache).
 lint-perf:
 	$(GO) run ./cmd/blocktri-lint -analyzers perfescape,perfbce,perfinline,asmcheck ./...
 
@@ -96,4 +82,4 @@ experiments-quick:
 	$(GO) run ./cmd/blocktri-bench -exp all -quick
 
 clean:
-	rm -rf results reports transport.ardf .blocktri-lint-cache
+	rm -rf results reports transport.ardf

@@ -43,9 +43,8 @@ type perfEntry struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	GFlops      float64 `json:"gflops,omitempty"`
 	// BudgetNs, when nonzero, is an absolute ns/op ceiling gated in compare
-	// mode on top of the relative regression tolerance. The warm lint entry
-	// uses it to pin the acceptance budget (a warm full-repo run must stay
-	// under 200ms) independent of whatever the baseline machine measured.
+	// mode on top of the relative regression tolerance, independent of
+	// whatever the baseline machine measured.
 	BudgetNs float64 `json:"budget_ns,omitempty"`
 	// Tol, when nonzero, overrides perfRegressionTol for this entry. Tail
 	// latency percentiles carry run-to-run noise a mean never sees, so the
@@ -211,13 +210,12 @@ func measureGEMM() ([]perfEntry, error) {
 }
 
 // measureLint benchmarks a cold whole-repo lint run — module load,
-// type-check, suppression collection, and every toolchain-free analyzer —
-// with the interprocedural summary layer on (the shipped default) and off
-// (the spread is the layer's measured cost). One iteration is around a
-// second, so each bestOf3 round runs the suite once. The compiler-backed
-// analyzers are excluded here: they would fold a multi-second `go build`
-// into every iteration and drown the signal; their toolchain cost is
-// measured on its own as Lint/compilerfacts.
+// type-check, suppression collection, and every toolchain-free analyzer
+// with the interprocedural summary layer on — as Lint/interprocedural. One
+// iteration is around a second, so each bestOf3 round runs the suite once.
+// The compiler-backed analyzers are excluded there: they would fold a
+// multi-second `go build` into every iteration and drown the signal; that
+// toolchain call is measured on its own as Lint/compilerfacts.
 func measureLint() ([]perfEntry, error) {
 	root, err := analysis.FindModuleRoot(".")
 	if err != nil {
@@ -229,148 +227,39 @@ func measureLint() ([]perfEntry, error) {
 			coldAnalyzers = append(coldAnalyzers, a)
 		}
 	}
-	var entries []perfEntry
-	for _, cfg := range []struct {
-		name     string
-		noInterp bool
-	}{
-		{"Lint/interprocedural", false},
-		{"Lint/intraprocedural", true},
-	} {
-		cfg := cfg
-		var failed error
-		res := bestOf3(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := analysis.LoadModule(root)
-				if err != nil {
-					failed = err
-					b.FailNow()
-				}
-				m.NoInterp = cfg.noInterp
-				sup := analysis.CollectSuppressions(m)
-				for _, a := range coldAnalyzers {
-					if kept := analysis.FilterSuppressed(a.Run(m), sup); len(kept) > 0 {
-						failed = fmt.Errorf("repo not lint-clean: %s", kept[0])
-						b.FailNow()
-					}
-				}
-			}
-		})
-		if failed != nil {
-			return nil, fmt.Errorf("lint %s: %v", cfg.name, failed)
-		}
-		entries = append(entries, perfEntry{
-			Name:        cfg.name,
-			NsPerOp:     float64(res.NsPerOp()),
-			AllocsPerOp: res.AllocsPerOp(),
-		})
-	}
-
-	warmInc, err := measureLintCached(root)
-	if err != nil {
-		return nil, err
-	}
-	return append(entries, warmInc...), nil
-}
-
-// lintWarmBudgetNs is the absolute acceptance budget for a cache-warm
-// whole-repo lint: 200ms. In practice a warm run is ~15ms (a scan plus
-// entry reads — nothing is parsed or type-checked), so the gate only trips
-// when the warm path stops being warm.
-const lintWarmBudgetNs = 200e6
-
-// lintFactsBudgetNs is the absolute ceiling for one uncached compiler-facts
-// computation: 60s. The measurement is almost entirely `go build` with the
-// noisy escape/inline diagnostics on (~7s on the reference machine, paid
-// once per (go version, GOARCH, flags, tree) and then replayed from the
-// persistent cache), so the budget is a runaway guard, not a perf target.
-const lintFactsBudgetNs = 60e9
-
-// measureLintCached benchmarks the persistent-cache paths:
-//
-//   - Lint/warm: a fully warm run over an unchanged tree (every package
-//     replays from its cache entry), gated by the absolute 200ms budget;
-//   - Lint/incremental: one leaf-command file is touched before every run,
-//     so each iteration re-analyzes exactly that package (and materializes
-//     its import closure for type information) while everything else hits.
-//   - Lint/compilerfacts: one uncached compiler-facts computation — the
-//     `go build -gcflags=-m=2` pass the compiler-backed analyzers pay when
-//     no persisted fact table matches the tree. It is dominated by the Go
-//     toolchain, so it carries its own absolute budget and a wide relative
-//     tolerance instead of the default 15% gate.
-//
-// All three operate on a disposable copy of the module so the benchmark
-// never mutates the working tree or its cache.
-func measureLintCached(root string) ([]perfEntry, error) {
-	copyRoot, err := copyLintModule(root)
-	if err != nil {
-		return nil, fmt.Errorf("lint: copying module: %v", err)
-	}
-	defer os.RemoveAll(copyRoot)
-	opts := analysis.RunOptions{Analyzers: analysis.Analyzers(), CacheDir: analysis.DefaultCacheDir(copyRoot)}
-	if _, err := analysis.RunLint(copyRoot, opts); err != nil {
-		return nil, fmt.Errorf("lint: seeding cache: %v", err)
-	}
-
-	var entries []perfEntry
 	var failed error
 	res := bestOf3(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.RunLint(copyRoot, opts); err != nil {
-				failed = err
-				b.FailNow()
-			}
-		}
-	})
-	if failed != nil {
-		return nil, fmt.Errorf("lint Lint/warm: %v", failed)
-	}
-	entries = append(entries, perfEntry{
-		Name:        "Lint/warm",
-		NsPerOp:     float64(res.NsPerOp()),
-		AllocsPerOp: res.AllocsPerOp(),
-		BudgetNs:    lintWarmBudgetNs,
-	})
-
-	// The edited file lives in a leaf command package: the realistic
-	// single-file edit whose reverse closure is just its own package.
-	edited := filepath.Join(copyRoot, "cmd", "blocktri-solve", "main.go")
-	gen := 0
-	res = bestOf3(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			gen++
-			src, err := os.ReadFile(edited)
+			m, err := analysis.LoadModule(root)
 			if err != nil {
 				failed = err
 				b.FailNow()
 			}
-			src = append(src, []byte(fmt.Sprintf("\n// edit %d\n", gen))...)
-			if err := os.WriteFile(edited, src, 0o644); err != nil {
-				failed = err
-				b.FailNow()
-			}
-			b.StartTimer()
-			if _, err := analysis.RunLint(copyRoot, opts); err != nil {
-				failed = err
-				b.FailNow()
+			sup := analysis.CollectSuppressions(m)
+			for _, a := range coldAnalyzers {
+				if kept := analysis.FilterSuppressed(a.Run(m), sup); len(kept) > 0 {
+					failed = fmt.Errorf("repo not lint-clean: %s", kept[0])
+					b.FailNow()
+				}
 			}
 		}
 	})
 	if failed != nil {
-		return nil, fmt.Errorf("lint Lint/incremental: %v", failed)
+		return nil, fmt.Errorf("lint Lint/interprocedural: %v", failed)
 	}
-	entries = append(entries, perfEntry{
-		Name:        "Lint/incremental",
+	entries := []perfEntry{{
+		Name:        "Lint/interprocedural",
 		NsPerOp:     float64(res.NsPerOp()),
 		AllocsPerOp: res.AllocsPerOp(),
-	})
+	}}
 
 	// One compiler-facts computation takes seconds, so each bestOf3 round
-	// is a single toolchain invocation over the copy.
+	// is a single toolchain invocation over the module. It is dominated by
+	// the Go toolchain, so it carries its own absolute budget and a wide
+	// relative tolerance instead of the default 15% gate.
 	res = bestOf3(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := analysis.ComputeCompilerFacts(copyRoot); err != nil {
+			if _, err := analysis.ComputeCompilerFacts(root); err != nil {
 				failed = err
 				b.FailNow()
 			}
@@ -379,69 +268,20 @@ func measureLintCached(root string) ([]perfEntry, error) {
 	if failed != nil {
 		return nil, fmt.Errorf("lint Lint/compilerfacts: %v", failed)
 	}
-	entries = append(entries, perfEntry{
+	return append(entries, perfEntry{
 		Name:        "Lint/compilerfacts",
 		NsPerOp:     float64(res.NsPerOp()),
 		AllocsPerOp: res.AllocsPerOp(),
 		BudgetNs:    lintFactsBudgetNs,
 		Tol:         2.0,
-	})
-	return entries, nil
+	}), nil
 }
 
-// copyLintModule copies the lintable slice of the module — go.mod and every
-// .go and .s file outside skipped trees — into a fresh temp directory. The
-// assembly files matter twice over: asmcheck verifies them against their Go
-// stubs, and the compiler-facts pass runs `go build` on the copy, which
-// cannot compile the kernel packages without their .s bodies.
-func copyLintModule(root string) (string, error) {
-	dst, err := os.MkdirTemp("", "blocktri-lint-perf-")
-	if err != nil {
-		return "", err
-	}
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path == root {
-				return nil
-			}
-			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-				return filepath.SkipDir
-			}
-			switch name {
-			case "testdata", "vendor", "results", "reports", "docs", "scripts":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		keep := name == "go.mod" || strings.HasSuffix(name, ".s") ||
-			(strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"))
-		if !keep {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		out := filepath.Join(dst, rel)
-		if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
-			return err
-		}
-		return os.WriteFile(out, data, 0o644)
-	})
-	if err != nil {
-		os.RemoveAll(dst)
-		return "", err
-	}
-	return dst, nil
-}
+// lintFactsBudgetNs is the absolute ceiling for one compiler-facts
+// computation: 60s. The measurement is almost entirely `go build` with the
+// noisy escape/inline diagnostics on (seconds, most of it replayed from the
+// go build cache), so the budget is a runaway guard, not a perf target.
+const lintFactsBudgetNs = 60e9
 
 // perfSuites lists the measured suites and their baseline files. gateAllocs
 // applies the zero-tolerance allocs/op gate; the solver suites use it to

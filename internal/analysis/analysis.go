@@ -52,15 +52,9 @@ type Analyzer struct {
 	Name     string
 	Doc      string
 	Severity string // SeverityError or SeverityWarning
-	// Version participates in the persistent cache key (cache.go). Bump it
-	// whenever the analyzer's behavior changes — new checks, fixed false
-	// positives, reworded messages — so stale cached findings cannot be
-	// replayed for the new logic.
-	Version int
 	// NeedsBuild marks analyzers whose evidence comes from invoking the Go
-	// toolchain (compilerfacts.go). The driver's -watch mode skips them
-	// unless -watch-full is given, and the toolchain-free perf baselines
-	// exclude them.
+	// toolchain (compilerfacts.go). The toolchain-free perf baseline and
+	// the lint time budget exclude them.
 	NeedsBuild bool
 	Run        func(m *Module) []Finding
 }
@@ -69,16 +63,12 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		matAliasAnalyzer,
-		commLockAnalyzer,
 		commTagAnalyzer,
 		floatEqAnalyzer,
 		panicPolicyAnalyzer,
-		hotAllocAnalyzer,
 		wsEscapeAnalyzer,
 		poolReleaseAnalyzer,
 		errDiscardAnalyzer,
-		commShapeAnalyzer,
-		blockShapeAnalyzer,
 		goLeakAnalyzer,
 		lockOrderAnalyzer,
 		ctxFlowAnalyzer,
@@ -124,9 +114,8 @@ func SortFindings(fs []Finding) {
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer
 		}
-		// The message tiebreak makes the order canonical, so a cache-warm
-		// replay and a cold run serialize identically even when two findings
-		// share a position and analyzer.
+		// The message tiebreak makes the order canonical even when two
+		// findings share a position and analyzer.
 		return a.Message < b.Message
 	})
 }

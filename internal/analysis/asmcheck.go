@@ -34,14 +34,13 @@ import (
 //     pointer, R14 goroutine pointer, R15 dynamic-linking scratch).
 //
 // The checks are a pure text analysis of the Plan 9 source — no toolchain
-// invocation — so asmcheck stays enabled in -watch mode (NeedsBuild is
-// false). It runs only on GOARCH=amd64 hosts: elsewhere the build filters
-// out both the .s files and their declaration stubs.
+// invocation (NeedsBuild is false). It runs only on GOARCH=amd64 hosts:
+// elsewhere the build filters out both the .s files and their declaration
+// stubs.
 var asmCheckAnalyzer = &Analyzer{
 	Name:     "asmcheck",
 	Doc:      "verify .s kernels against Go declarations: ABI0 frame/offsets, NOSPLIT, VZEROUPPER, callee-saved registers",
 	Severity: SeverityError,
-	Version:  1,
 	Run:      runAsmCheck,
 }
 
@@ -181,7 +180,7 @@ func runAsmCheck(m *Module) []Finding {
 	p := &pass{m: m, name: "asmcheck"}
 	sizes := types.SizesFor("gc", "amd64")
 	for _, pkg := range m.Pkgs {
-		sfiles := m.asmFilesFor(pkg)
+		sfiles := asmFilesFor(pkg)
 		if len(sfiles) == 0 {
 			continue
 		}
@@ -298,27 +297,26 @@ func asmStubs(pkg *Package) (map[string]*ast.FuncDecl, map[string]*types.Signatu
 	return stubs, sigs
 }
 
-// asmFilesFor returns a package's assembly sources: from the scan when the
-// module was scanned (the bytes the cache key covers), from disk for
-// fixture modules.
-func (m *Module) asmFilesFor(pkg *Package) []scanFile {
-	if m.scan != nil {
-		if sp := m.scan.ByPath[pkg.Path]; sp != nil {
-			return sp.SFiles
-		}
-		return nil
-	}
+// asmFile is one assembly source of a package.
+type asmFile struct {
+	Name string // absolute path
+	Src  []byte
+}
+
+// asmFilesFor reads a package's assembly sources (those matching the host
+// build constraints) from its directory.
+func asmFilesFor(pkg *Package) []asmFile {
 	names, err := asmFilesIn(pkg.Dir)
 	if err != nil {
 		return nil
 	}
-	var out []scanFile
+	var out []asmFile
 	for _, name := range names {
 		src, err := os.ReadFile(name)
 		if err != nil {
 			continue
 		}
-		out = append(out, scanFile{Name: name, Src: src, Hash: hashBytes(src)})
+		out = append(out, asmFile{Name: name, Src: src})
 	}
 	return out
 }

@@ -67,8 +67,6 @@ type CallGraph struct {
 	// of the condensation points from a later component to an earlier one,
 	// so visiting SCCs[0], SCCs[1], ... sees callees before callers.
 	SCCs [][]*FuncNode
-	// Edges is the total intra-package edge count (for -stats).
-	Edges int
 }
 
 // buildCallGraph constructs the call graph of one package.
@@ -106,7 +104,6 @@ func buildCallGraph(pkg *Package) *CallGraph {
 			if c, ok := g.ByObj[f]; ok && !seen[c] {
 				seen[c] = true
 				n.Callees = append(n.Callees, c)
-				g.Edges++
 			}
 			return true
 		})

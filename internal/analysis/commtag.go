@@ -31,7 +31,6 @@ var commTagAnalyzer = &Analyzer{
 	Name:     "commtag",
 	Doc:      "cross-check constant message tags between send and receive sides",
 	Severity: SeverityWarning,
-	Version:  4,
 	Run:      runCommTag,
 }
 

@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,20 +30,16 @@ import (
 //
 // The invocation is warm-cache friendly: the go command replays compiler
 // diagnostics from its build cache, so a re-run over an unchanged tree
-// costs a cache probe per package, not a compile. On top of that,
-// blocktri-lint's persistent cache stores the parsed table keyed on
-// (schema, go version, GOARCH, flags, module content hash), so a fully
-// warm lint run never invokes the toolchain at all (see cache.go and the
-// 200ms Lint/warm budget in BENCH_lint.json).
+// costs a cache probe per package, not a compile. The parsed table is
+// memoized on the Module, so one lint process invokes the toolchain at
+// most once.
 //
 // Facts are computed lazily — only when an enabled compiler-backed
 // analyzer actually encounters a perf annotation in a package it scans —
-// so runs that touch no hot-path package (and every fully-warm run) never
-// pay for a build.
+// so runs that touch no hot-path package never pay for a build.
 
 // factsGCFlags is the exact -gcflags payload whose diagnostics the parser
-// understands. It participates in the persistent fact-cache key: changing
-// the flags invalidates every cached table.
+// understands.
 const factsGCFlags = "-m=2 -d=ssa/check_bce"
 
 // FactDiag is one positioned compiler diagnostic (an escape or a surviving
@@ -70,10 +65,6 @@ type InlineFact struct {
 // CompilerFacts is the parsed diagnostic table of one toolchain invocation
 // over one source tree.
 type CompilerFacts struct {
-	GoVersion string
-	GOARCH    string
-	Flags     string
-
 	escapes map[string][]FactDiag   // file -> escape diags, sorted by line, col
 	bounds  map[string][]FactDiag   // file -> surviving bounds checks
 	inlines map[string][]InlineFact // file -> inlining verdicts
@@ -130,12 +121,9 @@ var (
 // diagnostics are dropped).
 func parseCompilerDiagnostics(output []byte, resolve func(string) string) *CompilerFacts {
 	cf := &CompilerFacts{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Flags:     factsGCFlags,
-		escapes:   make(map[string][]FactDiag),
-		bounds:    make(map[string][]FactDiag),
-		inlines:   make(map[string][]InlineFact),
+		escapes: make(map[string][]FactDiag),
+		bounds:  make(map[string][]FactDiag),
+		inlines: make(map[string][]InlineFact),
 	}
 	type diagKey struct {
 		file      string
@@ -223,18 +211,12 @@ func parseCompilerDiagnostics(output []byte, resolve func(string) string) *Compi
 	return cf
 }
 
-// ComputeCompilerFacts computes the fact table of the module rooted at
-// root with no cache in front — the exported entry point the perf harness
-// times as Lint/compilerfacts (the cost a lint run pays when no persisted
-// table matches the tree).
+// ComputeCompilerFacts invokes the toolchain over the module rooted at root
+// and parses the diagnostics — the one toolchain call of a lint run, which
+// the perf harness times on its own as Lint/compilerfacts. Build failures
+// surface the compiler's message: a tree that does not build has no
+// meaningful perf contracts to check.
 func ComputeCompilerFacts(root string) (*CompilerFacts, error) {
-	return computeCompilerFacts(root)
-}
-
-// computeCompilerFacts invokes the toolchain over the module rooted at root
-// and parses the diagnostics. Build failures surface the compiler's message:
-// a tree that does not build has no meaningful perf contracts to check.
-func computeCompilerFacts(root string) (*CompilerFacts, error) {
 	cmd := exec.Command("go", "build", "-gcflags="+factsGCFlags, "./...")
 	cmd.Dir = root
 	out, err := cmd.CombinedOutput()
@@ -305,22 +287,17 @@ func truncateOutput(out []byte) []byte {
 }
 
 // CompilerFacts returns the module's compiler-evidence fact table, invoking
-// the toolchain (or the persistent cache, under RunLint) on first use and
-// memoizing the outcome — including failure — for the life of the Module.
+// the toolchain on first use and memoizing the outcome — including failure
+// — for the life of the Module.
 func (m *Module) CompilerFacts() (*CompilerFacts, error) {
 	if m.factsDone {
 		return m.facts, m.factsErr
 	}
 	m.factsDone = true
-	switch {
-	case m.factsFn != nil:
-		m.facts, m.factsErr = m.factsFn(m)
-	case m.scan != nil:
-		m.facts, m.factsErr = computeCompilerFacts(m.Root)
-	case m.hostRoot != "":
+	if m.hostRoot != "" {
 		m.facts, m.factsErr = computeFixtureFacts(m.hostRoot, m.Root)
-	default:
-		m.factsErr = fmt.Errorf("analysis: module has no compiler-fact source")
+	} else {
+		m.facts, m.factsErr = ComputeCompilerFacts(m.Root)
 	}
 	return m.facts, m.factsErr
 }
@@ -362,8 +339,7 @@ func (m *Module) funcBodySpan(body *ast.BlockStmt) (file string, start, end int)
 // Propagation stops at //perf:coldpath-annotated functions — the sanctioned
 // opt-out for amortized or deliberately allocating branches (pool growth,
 // goroutine fan-out) — and at package boundaries: cross-package hot entry
-// points carry their own annotation so the cached per-package findings stay
-// content-addressed.
+// points carry their own annotation.
 //
 // The result maps each hot declaration to the annotated root it was reached
 // from ("" for directly annotated functions).

@@ -329,7 +329,7 @@ func (s *summarizer) concurrencyFacets(sum *FuncSummary) {
 		if !ok {
 			return true
 		}
-		if _, kind := syncLockKind(info, call); kind > 0 {
+		if syncLockKind(info, call) > 0 {
 			if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 				if k, isGlobal := globalLockKey(info, sel.X); isGlobal {
 					keys[k] = true

@@ -36,7 +36,6 @@ var ctxFlowAnalyzer = &Analyzer{
 	Name:     "ctxflow",
 	Doc:      "contexts must flow to callees, WithCancel/WithTimeout cancels must run on every path, and contexts must not be stored",
 	Severity: SeverityWarning,
-	Version:  1,
 	Run:      runCtxFlow,
 }
 

@@ -23,7 +23,6 @@ var errDiscardAnalyzer = &Analyzer{
 	Name:     "errdiscard",
 	Doc:      "flag World.Run / Try-decoder / Experiment.Run errors that are dropped or never checked",
 	Severity: SeverityError,
-	Version:  1,
 	Run:      runErrDiscard,
 }
 

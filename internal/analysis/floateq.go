@@ -27,7 +27,6 @@ var floatEqAnalyzer = &Analyzer{
 	Name:     "floateq",
 	Doc:      "flag exact floating-point equality comparisons in solver/kernel code",
 	Severity: SeverityWarning,
-	Version:  1,
 	Run:      runFloatEq,
 }
 

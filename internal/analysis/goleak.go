@@ -29,7 +29,6 @@ var goLeakAnalyzer = &Analyzer{
 	Name:     "goleak",
 	Doc:      "goroutine termination must be tied to ctx.Done, a WaitGroup join, or a channel close on every path",
 	Severity: SeverityError,
-	Version:  1,
 	Run:      runGoLeak,
 }
 

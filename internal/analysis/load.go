@@ -30,41 +30,27 @@ type Package struct {
 // Analyzers receive a Module and scan every package in Pkgs; imported
 // packages that are not in Pkgs (the standard library, or the host module
 // under a fixture run) contribute type information only.
-//
-// A Module starts lazy: newLazyModule scans the tree (scan.go) without
-// parsing bodies or type-checking anything, and ensurePackage materializes
-// individual packages on demand. LoadModule is the eager form that
-// materializes everything, which the fixture tests and the cold perf
-// benchmarks still use.
 type Module struct {
 	// Root is the directory containing go.mod.
 	Root string
 	// Path is the module path declared in go.mod.
 	Path string
 	Fset *token.FileSet
-	// Pkgs holds the materialized packages in dependency order (imported
-	// packages first). Under a lazy run it contains only the packages some
-	// cache miss forced into existence.
+	// Pkgs holds the loaded packages in dependency order (imported
+	// packages first).
 	Pkgs []*Package
 	// NoInterp disables the interprocedural layer: calleeSummary returns
 	// nil everywhere and every analyzer falls back to its intraprocedural
-	// behavior. Set by the driver's -interprocedural=false escape hatch.
+	// behavior. The summary-layer tests set it to measure what the layer
+	// adds.
 	NoInterp bool
 
 	loader *loader
-	scan   *moduleScan // nil for fixture modules
-	// sumLoader, when set (by RunLint over a persistent cache), resolves a
-	// package's function summaries and structural stats from the on-disk
-	// cache instead of recomputing them. A false return means "no valid
-	// entry" and the summaries are computed from source as usual.
-	sumLoader func(*Package) (pkgSummaries, SummaryStats, bool)
 
-	// Compiler-evidence fact state (compilerfacts.go). factsFn, when set by
-	// RunLint, serves the fact table through the persistent cache; otherwise
-	// CompilerFacts invokes the toolchain directly. hostRoot points a fixture
-	// module at the host module root so fixture facts can be built against
-	// the real packages. The computed table (or its error) is memoized.
-	factsFn   func(*Module) (*CompilerFacts, error)
+	// Compiler-evidence fact state (compilerfacts.go). hostRoot points a
+	// fixture module at the host module root so fixture facts can be built
+	// against the real packages. The computed table (or its error) is
+	// memoized for the life of the Module.
 	hostRoot  string
 	facts     *CompilerFacts
 	factsErr  error
@@ -83,34 +69,15 @@ type loader struct {
 	// loaded Package so fixture reloads of the same synthetic path never
 	// serve summaries keyed on a previous type-check's objects.
 	sums map[*Package]pkgSummaries
-	// sumPkgStats holds each summarized (or cache-loaded) package's
-	// structural counters; sumStats is their running total and sumRT the
-	// per-process request counters.
-	sumPkgStats map[*Package]SummaryStats
-	sumStats    SummaryStats
-	sumRT       SummaryRuntime
-	// sumPkgSCCs holds each summarized package's call-graph condensation as
-	// SCC membership lists of fully-qualified function names, in
-	// reverse-topological order — the form cache entries persist.
-	sumPkgSCCs map[*Package][][]string
 }
 
 func newLoader(fset *token.FileSet) *loader {
 	return &loader{
-		fset:        fset,
-		std:         importer.ForCompiler(fset, "source", nil),
-		pkgs:        make(map[string]*Package),
-		sums:        make(map[*Package]pkgSummaries),
-		sumPkgStats: make(map[*Package]SummaryStats),
-		sumPkgSCCs:  make(map[*Package][][]string),
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: make(map[string]*Package),
+		sums: make(map[*Package]pkgSummaries),
 	}
-}
-
-// recordPkgStats files one package's structural counters and folds them
-// into the loader-wide totals.
-func (l *loader) recordPkgStats(pkg *Package, st SummaryStats) {
-	l.sumPkgStats[pkg] = st
-	l.sumStats.add(st)
 }
 
 // Import implements types.Importer.
@@ -231,73 +198,131 @@ func asmFilesIn(dir string) ([]string, error) {
 	return out, nil
 }
 
-// newLazyModule scans the module under root (imports-only parses, content
-// hashes, dependency order — see scan.go) without materializing any
-// package. Callers pull packages in through ensurePackage as cache misses
-// demand them.
-func newLazyModule(root string) (*Module, error) {
-	sc, err := scanModule(root)
+// LoadModule parses and type-checks every non-test package under root
+// (skipping testdata and hidden directories) and returns them in
+// dependency order.
+func LoadModule(root string) (*Module, error) {
+	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Root: sc.Root, Path: sc.ModPath, Fset: token.NewFileSet(), scan: sc}
+	modPath, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	m := &Module{Root: root, Path: modPath, Fset: token.NewFileSet()}
 	m.loader = newLoader(m.Fset)
-	return m, nil
-}
 
-// ensurePackage materializes one scanned package: its module-local
-// dependencies first (the type-checker needs their export information),
-// then a full parse of the bytes captured at scan time, then the check.
-// Already-materialized packages return immediately, so the total work of a
-// run is bounded by the union of the dirty packages' import closures — the
-// lazy half of the persistent-cache design.
-func (m *Module) ensurePackage(path string) (*Package, error) {
-	if p, ok := m.loader.pkgs[path]; ok {
-		return p, nil
-	}
-	if m.scan == nil {
-		return nil, fmt.Errorf("analysis: package %s requested from a non-lazy module", path)
-	}
-	sp := m.scan.ByPath[path]
-	if sp == nil {
-		return nil, fmt.Errorf("analysis: package %s imported but not found in module", path)
-	}
-	for _, dep := range sp.Deps {
-		if _, err := m.ensurePackage(dep); err != nil {
-			return nil, err
+	// Discover package directories.
+	var dirs []string
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
+		if !d.IsDir() {
+			return nil
+		}
+		if path != root && skipDir(d.Name()) {
+			return filepath.SkipDir
+		}
+		files, err := goFilesIn(path)
+		if err != nil {
+			return err
+		}
+		if len(files) > 0 {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var files []*ast.File
-	for _, f := range sp.Files {
-		// Parse the scanned bytes, not the file on disk: the cache key was
-		// derived from these bytes, and they must stay in lockstep.
-		af, err := parser.ParseFile(m.Fset, f.Name, f.Src, parser.ParseComments)
+	sort.Strings(dirs)
+
+	// Parse every package and record its module-local imports, then
+	// type-check in dependency order.
+	type parsed struct {
+		dir   string
+		files []*ast.File
+		deps  []string
+	}
+	byPath := make(map[string]*parsed)
+	var paths []string
+	for _, dir := range dirs {
+		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, af)
+		importPath := modPath
+		if rel != "." {
+			importPath = modPath + "/" + filepath.ToSlash(rel)
+		}
+		p := &parsed{dir: dir}
+		names, err := goFilesIn(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgName := ""
+		for _, name := range names {
+			f, err := parser.ParseFile(m.Fset, name, nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			if pkgName == "" {
+				pkgName = f.Name.Name
+			} else if f.Name.Name != pkgName {
+				return nil, fmt.Errorf("analysis: %s: mixed packages %s and %s", dir, pkgName, f.Name.Name)
+			}
+			p.files = append(p.files, f)
+			for _, imp := range f.Imports {
+				ip := strings.Trim(imp.Path.Value, `"`)
+				if ip == modPath || strings.HasPrefix(ip, modPath+"/") {
+					p.deps = append(p.deps, ip)
+				}
+			}
+		}
+		sort.Strings(p.deps)
+		byPath[importPath] = p
+		paths = append(paths, importPath)
 	}
-	pkg, err := m.check(path, files)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
-	}
-	pkg.Dir = sp.Dir
-	m.loader.pkgs[path] = pkg
-	m.Pkgs = append(m.Pkgs, pkg)
-	return pkg, nil
-}
 
-// LoadModule parses and type-checks every non-test package under root
-// (skipping testdata and hidden directories) and returns them in
-// dependency order. It is the eager form of the lazy loader: a scan
-// followed by ensurePackage over every package.
-func LoadModule(root string) (*Module, error) {
-	m, err := newLazyModule(root)
-	if err != nil {
-		return nil, err
+	// Topological sort by module-local imports (DFS, cycle detection),
+	// type-checking each package once its dependencies are done.
+	const (
+		visiting = 1
+		done     = 2
+	)
+	state := make(map[string]int)
+	var visit func(path string) error
+	visit = func(path string) error {
+		switch state[path] {
+		case done:
+			return nil
+		case visiting:
+			return fmt.Errorf("analysis: import cycle through %s", path)
+		}
+		state[path] = visiting
+		p := byPath[path]
+		if p == nil {
+			return fmt.Errorf("analysis: package %s imported but not found in module", path)
+		}
+		for _, dep := range p.deps {
+			if err := visit(dep); err != nil {
+				return err
+			}
+		}
+		state[path] = done
+		pkg, err := m.check(path, p.files)
+		if err != nil {
+			return fmt.Errorf("analysis: type-checking %s: %w", path, err)
+		}
+		pkg.Dir = p.dir
+		m.loader.pkgs[path] = pkg
+		m.Pkgs = append(m.Pkgs, pkg)
+		return nil
 	}
-	for _, sp := range m.scan.Pkgs {
-		if _, err := m.ensurePackage(sp.Path); err != nil {
+	for _, path := range paths {
+		if err := visit(path); err != nil {
 			return nil, err
 		}
 	}

@@ -20,11 +20,17 @@ import (
 // the graph through the call graph. Any edge lying on a cycle (including a
 // re-acquisition self-loop) is reported at its acquisition site.
 //
-// The blocking rule extends commlock beyond the comm vocabulary: a channel
+// The blocking rule: a blocking comm operation (a send, receive or
+// collective that needs matching progress on another rank), a channel
 // send or receive, a select with no default, a range over a channel,
 // sync.WaitGroup.Wait, or comm.World.Run/RunContext executed while any lock
 // is held stalls every other user of that lock for as long as the operation
-// blocks — and if the operation's completion needs the lock, deadlocks.
+// blocks — and if the operation's completion needs the lock, deadlocks. A
+// rank blocked in comm while holding a lock another rank needs deadlocks
+// the whole World with no stack to show for it. Send counts as blocking
+// even though this in-process runtime buffers unboundedly, because the
+// invariant must hold under MPI rendezvous semantics, which the comm
+// package models.
 // sync.Cond.Wait is exempt with a single lock held (that is the Wait
 // contract: it unlocks its own mutex while parked) but flagged when a
 // second lock stays held across the park. The comm package itself is
@@ -34,8 +40,47 @@ var lockOrderAnalyzer = &Analyzer{
 	Name:     "lockorder",
 	Doc:      "flag cyclic lock-acquisition orders and locks held across blocking operations",
 	Severity: SeverityError,
-	Version:  1,
 	Run:      runLockOrder,
+}
+
+const commPkgPath = "blocktri/internal/comm"
+
+// blockingCommOps are the comm.Comm methods that require matching progress
+// on another rank.
+var blockingCommOps = map[string]bool{
+	"Send": true, "SendOwned": true, "Recv": true, "SendRecv": true, "Exchange": true,
+	"Barrier": true, "Bcast": true, "Allreduce": true, "Gather": true,
+	"SendMatrix": true, "RecvMatrix": true, "ExchangeMatrices": true,
+	"BcastMatrix": true,
+}
+
+// commOpName returns the name of the blocking comm operation a call
+// invokes, or "" if the call is not one.
+func commOpName(info *types.Info, call *ast.CallExpr) string {
+	f := calleeFunc(info, call)
+	if f == nil || funcPkgPath(f) != commPkgPath {
+		return ""
+	}
+	if blockingCommOps[f.Name()] {
+		return f.Name()
+	}
+	return ""
+}
+
+// syncLockKind classifies a call as a sync lock acquire (+1), release
+// (-1), or neither (0).
+func syncLockKind(info *types.Info, call *ast.CallExpr) int {
+	f := calleeFunc(info, call)
+	if f == nil || funcPkgPath(f) != "sync" {
+		return 0
+	}
+	switch f.Name() {
+	case "Lock", "RLock":
+		return 1
+	case "Unlock", "RUnlock":
+		return -1
+	}
+	return 0
 }
 
 // lockEdge is the first-seen acquisition site of one ordered pair.
@@ -102,9 +147,9 @@ func heldKeyOf(info *types.Info, recv ast.Expr) heldLock {
 }
 
 // walkHeld walks one body in source order maintaining the held-lock set
-// (defer Unlock keeps the lock held, as in commlock), invoking fn for every
-// non-lock node with the current set. Lock acquisitions themselves are
-// reported through acquire.
+// (defer Unlock keeps the lock held until function exit), invoking fn for
+// every non-lock node with the current set. Lock acquisitions themselves
+// are reported through acquire.
 func walkHeld(info *types.Info, body *ast.BlockStmt, acquire func(held []heldLock, lk heldLock, call *ast.CallExpr), fn func(held []heldLock, n ast.Node) bool) {
 	var held []heldLock
 	inspectShallow(body, func(n ast.Node) bool {
@@ -114,7 +159,7 @@ func walkHeld(info *types.Info, body *ast.BlockStmt, acquire func(held []heldLoc
 			// deferred calls are not part of the statement flow.
 			return false
 		case *ast.CallExpr:
-			if _, kind := syncLockKind(info, n); kind != 0 {
+			if kind := syncLockKind(info, n); kind != 0 {
 				recv, ok := lockRecv(n)
 				if !ok {
 					return true
@@ -295,6 +340,9 @@ func checkBlockedHolders(rep *reporter, info *types.Info, body *ast.BlockStmt) {
 			}
 			if name := worldRunName(info, n); name != "" {
 				report(held, n.Pos(), "comm.World."+name)
+			}
+			if op := commOpName(info, n); op != "" {
+				report(held, n.Pos(), "comm."+op)
 			}
 		}
 		return true

@@ -26,7 +26,6 @@ var matAliasAnalyzer = &Analyzer{
 	Name:     "matalias",
 	Doc:      "flag mat kernel calls whose destination may alias a source operand",
 	Severity: SeverityError,
-	Version:  1,
 	Run:      runMatAlias,
 }
 

@@ -7,54 +7,10 @@ import (
 	"strings"
 )
 
-// Machine-readable renderings of a lint run. The text form in
+// Machine-readable rendering of a lint run. The text form in
 // Finding.String is for humans at a terminal; CI archives the same findings
-// as plain JSON (for scripts) or SARIF 2.1.0 (for code-scanning UIs and
-// long-term report storage). Both renderers are deliberately tiny: findings
-// in, bytes out, no options.
-
-// jsonFinding is the stable wire form of one finding.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// JSONInterp is the run-level interprocedural metadata in the JSON report:
-// whether summaries were consulted and the deterministic cache counters.
-type JSONInterp struct {
-	Enabled   bool         `json:"enabled"`
-	Summaries SummaryStats `json:"summaries"`
-}
-
-// jsonReport is the top-level JSON document: the findings plus the
-// interprocedural block. Everything in it is deterministic, so two runs over
-// the same tree produce byte-identical output.
-type jsonReport struct {
-	Findings        []jsonFinding `json:"findings"`
-	Interprocedural JSONInterp    `json:"interprocedural"`
-}
-
-// WriteJSON renders a lint run as a JSON object with a "findings" array
-// (never null) and an "interprocedural" metadata block, with file paths made
-// relative to root where possible.
-func WriteJSON(w io.Writer, findings []Finding, root string, interp JSONInterp) error {
-	out := jsonReport{Findings: make([]jsonFinding, 0, len(findings)), Interprocedural: interp}
-	for _, f := range findings {
-		out.Findings = append(out.Findings, jsonFinding{
-			File:     relToRoot(root, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// as SARIF 2.1.0 (for code-scanning UIs and long-term report storage). The
+// renderer is deliberately tiny: findings in, bytes out, no options.
 
 // SARIF 2.1.0, minimally: one run, one rule per analyzer, one result per
 // finding.

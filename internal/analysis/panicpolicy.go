@@ -36,7 +36,6 @@ var panicPolicyAnalyzer = &Analyzer{
 	Name:     "panicpolicy",
 	Doc:      "flag panic(err), discarded factor/solve errors, and bare panics in the comm/core runtime",
 	Severity: SeverityWarning,
-	Version:  1,
 	Run:      runPanicPolicy,
 }
 
@@ -47,12 +46,14 @@ var errorResultFuncs = map[string]bool{
 	"Solve": true, "SolveTo": true, "Invert": true, "Inverse": true,
 }
 
-const harnessPkgPath = "blocktri/internal/harness"
+const (
+	harnessPkgPath = "blocktri/internal/harness"
+	corePkgPath    = "blocktri/internal/core"
+)
 
 // barePanicScoped reports whether pkg path is under the typed-unwind
 // contract that forbids new bare panics (fixtures load under a synthetic
-// "fix/..." path, mirroring the hotalloc scoping). commPkgPath is declared
-// in commlock.go, corePkgPath in hotalloc.go.
+// "fix/..." path). commPkgPath is declared in lockorder.go.
 func barePanicScoped(path string) bool {
 	return path == commPkgPath || path == corePkgPath || strings.HasPrefix(path, "fix/")
 }

@@ -28,15 +28,13 @@ import (
 // no line to look at. These analyzers turn the same regressions into
 // position-anchored findings at lint time.
 //
-// All three set NeedsBuild: they are skipped by the driver's -watch mode
-// unless -watch-full is given, and the perf harness keeps them out of the
-// toolchain-free cold baselines.
+// All three set NeedsBuild: the perf harness and the lint time budget keep
+// them out of the toolchain-free measurements.
 
 var perfEscapeAnalyzer = &Analyzer{
 	Name:       "perfescape",
 	Doc:        "flag heap escapes (compiler-verified) inside //perf:hotpath functions and their intra-package callees",
 	Severity:   SeverityError,
-	Version:    1,
 	NeedsBuild: true,
 	Run:        runPerfEscape,
 }
@@ -45,7 +43,6 @@ var perfBCEAnalyzer = &Analyzer{
 	Name:       "perfbce",
 	Doc:        "flag bounds checks surviving (per -d=ssa/check_bce) in //perf:hotloop-annotated loops",
 	Severity:   SeverityWarning,
-	Version:    1,
 	NeedsBuild: true,
 	Run:        runPerfBCE,
 }
@@ -54,7 +51,6 @@ var perfInlineAnalyzer = &Analyzer{
 	Name:       "perfinline",
 	Doc:        "flag //perf:inline helpers the compiler declines to inline, with cost vs budget",
 	Severity:   SeverityWarning,
-	Version:    1,
 	NeedsBuild: true,
 	Run:        runPerfInline,
 }

@@ -29,7 +29,6 @@ var poolReleaseAnalyzer = &Analyzer{
 	Name:     "poolrelease",
 	Doc:      "pooled comm payloads bound to a variable must reach Release exactly once on every path",
 	Severity: SeverityError,
-	Version:  1,
 	Run:      runPoolRelease,
 }
 

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -11,7 +10,8 @@ import (
 // A FuncSummary condenses what one function does to its parameters and what
 // its results are made of, in exactly the vocabulary the dataflow analyzers
 // reason in: pooled-payload ownership, workspace-arena checkouts, monitored
-// errors, point-to-point comm shape, and symbolic matrix dimensions. The
+// errors, point-to-point comm sites, spawned goroutines, acquired locks
+// and ignored function parameters. The
 // analyzers consult summaries at call sites (through Module.calleeSummary)
 // instead of conservatively killing facts or over-reporting, which is what
 // turns the PR-4 intraprocedural engine into a whole-program one.
@@ -33,8 +33,7 @@ import (
 //
 // Summaries are cached per package on the module loader, which LoadFixture
 // shares with the host module: fixture runs reuse the host packages'
-// summaries, and the driver reports the request/hit counters in
-// `-format json`.
+// summaries.
 
 // maxSummaryParams bounds the parameter bitsets.
 const maxSummaryParams = 32
@@ -70,13 +69,10 @@ type FuncSummary struct {
 	// Comm lists the function's point-to-point operations expressed
 	// relative to its parameters; CommOpaque is set when the body performs
 	// (or may perform) point-to-point traffic the sites cannot express, in
-	// which case consumers must ignore the function entirely.
+	// which case consumers must ignore the function entirely (commtag's
+	// call-site facet).
 	Comm       []sumCommSite
 	CommOpaque bool
-
-	// Dims[i] gives the symbolic dimensions of matrix result i as linear
-	// terms over the parameters, when every return path agrees.
-	Dims []sumDims
 
 	// Spawns lists goroutines the function launches whose termination is
 	// tied to exactly one of its parameters: the caller inherits the
@@ -101,8 +97,8 @@ type FuncSummary struct {
 // the goroutine stops when the caller closes (Kind "close") or Waits on
 // (Kind "wait") the argument bound to parameter Param.
 type sumSpawn struct {
-	Param int    `json:"param"`
-	Kind  string `json:"kind"`
+	Param int
+	Kind  string
 }
 
 // sumCommSite is one Send/Recv of a summarized function, affine in an int
@@ -122,96 +118,7 @@ type sumCommSite struct {
 	TagStr   string
 }
 
-// sumVarKind distinguishes the symbolic variables of a summary dimension.
-type sumVarKind int
-
-const (
-	svInt  sumVarKind = iota // the value of an int parameter
-	svRows                   // the row count of a *mat.Matrix parameter
-	svCols                   // the column count of a *mat.Matrix parameter
-)
-
-// sumVar is one symbolic variable of a summary term.
-type sumVar struct {
-	Kind  sumVarKind
-	Param int
-}
-
-// sumTerm is a linear integer form over sumVars (see term.go). The zero
-// sumTerm is the constant 0; Known distinguishes it from "no value".
-type sumTerm = linTerm[sumVar]
-
-func sumConst(k int64) sumTerm { return constTerm[sumVar](k) }
-
-func sumOfVar(v sumVar) sumTerm { return varTerm(v) }
-
-// sumDims is the symbolic shape of one matrix result.
-type sumDims struct {
-	Rows, Cols sumTerm
-}
-
-func (d sumDims) known() bool { return d.Rows.Known && d.Cols.Known }
-
-func (d sumDims) equal(o sumDims) bool {
-	return d.Rows.equal(o.Rows) && d.Cols.equal(o.Cols)
-}
-
-// SummaryStats are the structural counters of the interprocedural layer:
-// how many functions, call edges and SCCs the summarized packages contain
-// and how many fixpoint rounds their recursive SCCs took. They are a pure
-// function of package content — no run dynamics — which is what lets the
-// persistent cache (cache.go) store them per package and the driver report
-// module totals under `-format json` that are byte-identical between cold
-// and cache-warm runs.
-type SummaryStats struct {
-	Functions          int `json:"functions"`
-	CallEdges          int `json:"call_edges"`
-	SCCs               int `json:"sccs"`
-	LargestSCC         int `json:"largest_scc"`
-	FixpointIterations int `json:"fixpoint_iterations"`
-	Packages           int `json:"packages"`
-}
-
-// add folds another package's structural counters into the totals.
-func (s *SummaryStats) add(o SummaryStats) {
-	s.Functions += o.Functions
-	s.CallEdges += o.CallEdges
-	s.SCCs += o.SCCs
-	if o.LargestSCC > s.LargestSCC {
-		s.LargestSCC = o.LargestSCC
-	}
-	s.FixpointIterations += o.FixpointIterations
-	s.Packages += o.Packages
-}
-
-// SummaryRuntime are the per-process request counters: how summary lookups
-// were served during this run. Unlike SummaryStats they depend on what the
-// run actually did (which packages were dirty, what was already in memory),
-// so the driver reports them under -stats, never in the pinned JSON report.
-type SummaryRuntime struct {
-	// Requests counts calleeSummary lookups.
-	Requests int
-	// InProcessHits: served from the loader's in-memory per-package map.
-	InProcessHits int
-	// PersistentHits: the lookup that pulled a package's summaries out of
-	// the on-disk cache (subsequent lookups of the same package are
-	// in-process hits).
-	PersistentHits int
-	// PackagesComputed / PackagesLoaded: packages summarized from source vs
-	// deserialized from the persistent cache.
-	PackagesComputed int
-	PackagesLoaded   int
-}
-
 type pkgSummaries map[*types.Func]*FuncSummary
-
-// SummaryStats returns the loader-wide structural totals over every package
-// summarized or cache-loaded so far (shared with fixture modules loaded
-// through LoadFixture).
-func (m *Module) SummaryStats() SummaryStats { return m.loader.sumStats }
-
-// SummaryRuntime returns the loader-wide request counters.
-func (m *Module) SummaryRuntime() SummaryRuntime { return m.loader.sumRT }
 
 // calleeSummary resolves the summary of a statically known callee, or nil
 // when interprocedural mode is off, the callee is unknown, unsummarizable
@@ -225,20 +132,7 @@ func (m *Module) calleeSummary(f *types.Func) *FuncSummary {
 	if pkg == nil {
 		return nil
 	}
-	l := m.loader
-	l.sumRT.Requests++
-	sums, ok := l.sums[pkg]
-	if ok {
-		l.sumRT.InProcessHits++
-	} else if m.sumLoader != nil {
-		if loaded, st, hit := m.sumLoader(pkg); hit {
-			sums, ok = loaded, true
-			l.sums[pkg] = sums
-			l.recordPkgStats(pkg, st)
-			l.sumRT.PersistentHits++
-			l.sumRT.PackagesLoaded++
-		}
-	}
+	sums, ok := m.loader.sums[pkg]
 	if !ok {
 		sums = m.summarizePackage(pkg)
 	}
@@ -264,31 +158,10 @@ func (m *Module) packageFor(tp *types.Package) *Package {
 // pkg, bottom-up over the call-graph condensation. Cross-package callees
 // recurse through calleeSummary; the import DAG bounds that recursion.
 func (m *Module) summarizePackage(pkg *Package) pkgSummaries {
-	l := m.loader
 	g := buildCallGraph(pkg)
 	sums := make(pkgSummaries, len(g.Nodes))
-	l.sums[pkg] = sums
-	l.sumRT.PackagesComputed++
-	st := SummaryStats{
-		Packages:  1,
-		Functions: len(g.Nodes),
-		CallEdges: g.Edges,
-		SCCs:      len(g.SCCs),
-	}
-	sccNames := make([][]string, 0, len(g.SCCs))
+	m.loader.sums[pkg] = sums
 	for _, scc := range g.SCCs {
-		names := make([]string, len(scc))
-		for i, n := range scc {
-			names[i] = funcID(n.Obj)
-		}
-		sccNames = append(sccNames, names)
-	}
-	l.sumPkgSCCs[pkg] = sccNames
-
-	for _, scc := range g.SCCs {
-		if len(scc) > st.LargestSCC {
-			st.LargestSCC = len(scc)
-		}
 		if !isRecursive(scc) {
 			if s := m.computeSummary(pkg, scc[0], sums); s != nil {
 				sums[scc[0].Obj] = s
@@ -304,7 +177,6 @@ func (m *Module) summarizePackage(pkg *Package) pkgSummaries {
 		const maxIter = 16
 		converged := false
 		for iter := 0; iter < maxIter && !converged; iter++ {
-			st.FixpointIterations++
 			converged = true
 			for _, n := range scc {
 				next := m.computeSummary(pkg, n, sums)
@@ -323,21 +195,7 @@ func (m *Module) summarizePackage(pkg *Package) pkgSummaries {
 			}
 		}
 	}
-	l.recordPkgStats(pkg, st)
 	return sums
-}
-
-// pkgSummaryStats forces pkg's summaries into existence (computing them if
-// no lookup has yet) and returns the package's structural counters. RunLint
-// uses it to give every analyzed package a deterministic stats contribution
-// for its cache entry, whether or not an analyzer happened to request a
-// summary from it.
-func (m *Module) pkgSummaryStats(pkg *Package) SummaryStats {
-	l := m.loader
-	if _, ok := l.sums[pkg]; !ok {
-		m.summarizePackage(pkg)
-	}
-	return l.sumPkgStats[pkg]
 }
 
 func signatureOf(f *types.Func) *types.Signature {
@@ -360,7 +218,6 @@ func emptySummary(f *types.Func) *FuncSummary {
 		s.CheckoutOf[i] = -1
 	}
 	s.ErrLabel = make([]string, s.NumResults)
-	s.Dims = make([]sumDims, s.NumResults)
 	s.FuncSinks = ^uint32(0)
 	return s
 }
@@ -401,7 +258,7 @@ func summariesEqual(a, b *FuncSummary) bool {
 		}
 	}
 	for i := range a.CheckoutOf {
-		if a.CheckoutOf[i] != b.CheckoutOf[i] || a.ErrLabel[i] != b.ErrLabel[i] || !a.Dims[i].equal(b.Dims[i]) {
+		if a.CheckoutOf[i] != b.CheckoutOf[i] || a.ErrLabel[i] != b.ErrLabel[i] {
 			return false
 		}
 	}
@@ -574,11 +431,6 @@ func namedFrom(t types.Type) (string, string) {
 func isWorkspace(t types.Type) bool {
 	p, n := namedFrom(t)
 	return p == matPkgPath && n == "Workspace"
-}
-
-func isMatrix(t types.Type) bool {
-	p, n := namedFrom(t)
-	return p == matPkgPath && n == "Matrix"
 }
 
 // --- Releases / Borrows -----------------------------------------------------
@@ -768,10 +620,10 @@ func isNilIdent(e ast.Expr) bool {
 	return ok && id.Name == "nil"
 }
 
-// --- Checkout / error / dimension return facets -----------------------------
+// --- Checkout / error return facets ------------------------------------------
 
-// returnFacets fills CheckoutOf, ErrLabel and Dims from the function's
-// top-level return statements.
+// returnFacets fills CheckoutOf and ErrLabel from the function's top-level
+// return statements.
 func (s *summarizer) returnFacets(sum *FuncSummary) {
 	if sum.NumResults == 0 {
 		return
@@ -815,19 +667,6 @@ func (s *summarizer) returnFacets(sum *FuncSummary) {
 				sum.ErrLabel[i] = label
 				break
 			}
-		}
-		// Dims: all return paths must agree on the symbolic shape.
-		if clean {
-			d := s.dimsOf(returns[0].Results[i], i, 0)
-			for _, r := range returns[1:] {
-				if !d.known() {
-					break
-				}
-				if !s.dimsOf(r.Results[i], i, 0).equal(d) {
-					d = sumDims{}
-				}
-			}
-			sum.Dims[i] = d
 		}
 	}
 }
@@ -913,178 +752,6 @@ func (s *summarizer) errLabelOf(e ast.Expr, res int, depth int) string {
 		return cs.ErrLabel[res]
 	}
 	return ""
-}
-
-// dimsOf evaluates the symbolic shape of a matrix-typed expression in terms
-// of the function's parameters.
-func (s *summarizer) dimsOf(e ast.Expr, res int, depth int) sumDims {
-	if depth > sumEvalDepth {
-		return sumDims{}
-	}
-	info := s.pkg.Info
-	e = unparen(e)
-	if obj := objOf(info, e); obj != nil {
-		if i, ok := s.paramIdx[obj]; ok && isMatrix(obj.Type()) {
-			return sumDims{Rows: sumOfVar(sumVar{svRows, i}), Cols: sumOfVar(sumVar{svCols, i})}
-		}
-		if b, ok := s.binds[obj]; ok {
-			return s.dimsOf(b.rhs, b.res, depth+1)
-		}
-		return sumDims{}
-	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok || res != 0 {
-		return sumDims{}
-	}
-	f := calleeFunc(info, call)
-	if f == nil {
-		return sumDims{}
-	}
-	if funcPkgPath(f) == matPkgPath {
-		recv := recvNamedType(f)
-		recvName := ""
-		if recv != nil {
-			recvName = recv.Obj().Name()
-		}
-		argInt := func(i int) sumTerm { return s.intTermOf(call.Args[i], depth+1) }
-		argMat := func(i int) sumDims { return s.dimsOf(call.Args[i], 0, depth+1) }
-		selDims := func() sumDims {
-			sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return sumDims{}
-			}
-			return s.dimsOf(sel.X, 0, depth+1)
-		}
-		switch {
-		case recvName == "" && (f.Name() == "New" || f.Name() == "NewFromSlice"):
-			return sumDims{Rows: argInt(0), Cols: argInt(1)}
-		case recvName == "" && f.Name() == "Identity":
-			n := argInt(0)
-			return sumDims{Rows: n, Cols: n}
-		case recvName == "Workspace" && (f.Name() == "Get" || f.Name() == "GetNoClear"):
-			return sumDims{Rows: argInt(0), Cols: argInt(1)}
-		case recvName == "Workspace" && f.Name() == "View":
-			return sumDims{Rows: argInt(3), Cols: argInt(4)}
-		case recvName == "Workspace" && f.Name() == "CloneOf":
-			return argMat(0)
-		case recvName == "Matrix" && f.Name() == "View":
-			return sumDims{Rows: argInt(2), Cols: argInt(3)}
-		case recvName == "Matrix" && f.Name() == "Clone":
-			return selDims()
-		case recvName == "Matrix" && f.Name() == "Row":
-			d := selDims()
-			return sumDims{Rows: sumConst(1), Cols: d.Cols}
-		case recvName == "Matrix" && f.Name() == "Col":
-			d := selDims()
-			return sumDims{Rows: d.Rows, Cols: sumConst(1)}
-		}
-		return sumDims{}
-	}
-	if cs := s.lookup(f); cs != nil && res < len(cs.Dims) && cs.Dims[res].known() {
-		return s.substDims(cs.Dims[res], call, depth+1)
-	}
-	return sumDims{}
-}
-
-// substDims rewrites a callee's symbolic shape into the caller's parameter
-// space by evaluating the arguments the callee's variables refer to.
-func (s *summarizer) substDims(d sumDims, call *ast.CallExpr, depth int) sumDims {
-	return sumDims{
-		Rows: s.substTerm(d.Rows, call, depth),
-		Cols: s.substTerm(d.Cols, call, depth),
-	}
-}
-
-func (s *summarizer) substTerm(t sumTerm, call *ast.CallExpr, depth int) sumTerm {
-	if !t.Known {
-		return sumTerm{}
-	}
-	out := sumConst(t.K)
-	for v, c := range t.Lin {
-		if v.Param >= len(call.Args) {
-			return sumTerm{}
-		}
-		var val sumTerm
-		switch v.Kind {
-		case svInt:
-			val = s.intTermOf(call.Args[v.Param], depth)
-		case svRows:
-			val = s.dimsOf(call.Args[v.Param], 0, depth).Rows
-		case svCols:
-			val = s.dimsOf(call.Args[v.Param], 0, depth).Cols
-		}
-		if !val.Known {
-			return sumTerm{}
-		}
-		out = out.add(val.scale(c), 1)
-		if !out.Known {
-			return sumTerm{}
-		}
-	}
-	return out
-}
-
-// intTermOf evaluates an int expression as a linear term over the
-// function's parameters.
-func (s *summarizer) intTermOf(e ast.Expr, depth int) sumTerm {
-	if depth > sumEvalDepth {
-		return sumTerm{}
-	}
-	info := s.pkg.Info
-	e = unparen(e)
-	if tv, ok := info.Types[e]; ok && tv.Value != nil {
-		if k, exact := constInt64(tv); exact {
-			return sumConst(k)
-		}
-		return sumTerm{}
-	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		obj := objOf(info, x)
-		if obj == nil {
-			return sumTerm{}
-		}
-		if i, ok := s.paramIdx[obj]; ok && isIntType(obj.Type()) {
-			return sumOfVar(sumVar{svInt, i})
-		}
-		if b, ok := s.binds[obj]; ok && b.res == 0 {
-			return s.intTermOf(b.rhs, depth+1)
-		}
-	case *ast.SelectorExpr:
-		// p.Rows / p.Cols of a matrix parameter.
-		obj := objOf(info, x.X)
-		if obj == nil {
-			return sumTerm{}
-		}
-		if i, ok := s.paramIdx[obj]; ok && isMatrix(obj.Type()) {
-			switch x.Sel.Name {
-			case "Rows":
-				return sumOfVar(sumVar{svRows, i})
-			case "Cols":
-				return sumOfVar(sumVar{svCols, i})
-			}
-		}
-	case *ast.BinaryExpr:
-		a := s.intTermOf(x.X, depth+1)
-		b := s.intTermOf(x.Y, depth+1)
-		if !a.Known || !b.Known {
-			return sumTerm{}
-		}
-		switch x.Op.String() {
-		case "+":
-			return a.add(b, 1)
-		case "-":
-			return a.add(b, -1)
-		case "*":
-			if len(a.Lin) == 0 {
-				return b.scale(a.K)
-			}
-			if len(b.Lin) == 0 {
-				return a.scale(b.K)
-			}
-		}
-	}
-	return sumTerm{}
 }
 
 // --- Comm facet -------------------------------------------------------------
@@ -1291,12 +958,4 @@ func (s *summarizer) classifyParamRank(e ast.Expr) (sumCommSite, bool) {
 		return classify(bin.X, bin.Y, -1)
 	}
 	return sumCommSite{}, false
-}
-
-// constInt64 extracts an exact int64 from a constant value.
-func constInt64(tv types.TypeAndValue) (int64, bool) {
-	if tv.Value == nil {
-		return 0, false
-	}
-	return constant.Int64Val(constant.ToInt(tv.Value))
 }

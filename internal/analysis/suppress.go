@@ -47,42 +47,30 @@ type Suppressions struct {
 	all []*directive
 }
 
-func newSuppressions() *Suppressions {
-	return &Suppressions{byFile: make(map[string]map[int]map[string]*directive)}
-}
-
 // CollectSuppressions scans every comment in the module for lint:ignore
 // directives.
 func CollectSuppressions(m *Module) *Suppressions {
-	s := newSuppressions()
+	s := &Suppressions{byFile: make(map[string]map[int]map[string]*directive)}
 	for _, pkg := range m.Pkgs {
-		s.collectPackage(m.Fset, pkg)
-	}
-	return s
-}
-
-// collectPackage scans one package's comments. RunLint uses it to collect
-// directives per dirty package (so each cache entry carries exactly its own
-// package's directives) and add replays cached ones.
-func (s *Suppressions) collectPackage(fset *token.FileSet, pkg *Package) {
-	for _, file := range pkg.Files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				names, ok := parseIgnore(c.Text)
-				if !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				for _, n := range names {
-					s.add(pos, n)
+		for _, file := range pkg.Files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					names, ok := parseIgnore(c.Text)
+					if !ok {
+						continue
+					}
+					pos := m.Fset.Position(c.Pos())
+					for _, n := range names {
+						s.add(pos, n)
+					}
 				}
 			}
 		}
 	}
+	return s
 }
 
-// add records one directive, deduplicating repeated names on a line exactly
-// like collection from source does.
+// add records one directive, ignoring a repeated name on the same line.
 func (s *Suppressions) add(pos token.Position, name string) {
 	lines := s.byFile[pos.Filename]
 	if lines == nil {

@@ -1,4 +1,6 @@
-// Package commlock is a fixture for the commlock analyzer.
+// Package commlock is a fixture for lockorder's blocking-while-locked rule
+// on comm operations: a rank blocked in comm while holding a lock deadlocks
+// the World. TestAnalyzersOnFixtures checks it with the lockorder analyzer.
 package commlock
 
 import (

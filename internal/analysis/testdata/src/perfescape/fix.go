@@ -1,11 +1,8 @@
 // Package perfescape exercises the compiler-evidence escape contract.
 //
-// The boxing in Step is the documented hotalloc blind spot: hotalloc's
-// syntactic allocation patterns (make, append, new, mat.New composites)
-// never see an interface conversion, but the compiler's escape analysis
-// reports it like any other per-call heap allocation. The companion test
-// TestPerfEscapeCoversHotallocBlindSpot pins that hotalloc stays silent on
-// this package while perfescape does not.
+// The boxing in Step is invisible to any syntactic allocation scan (no
+// make, append, new or constructor call appears), but the compiler's
+// escape analysis reports it like any other per-call heap allocation.
 package perfescape
 
 // sink keeps boxed values reachable so the escapes are real, not

@@ -32,7 +32,6 @@ var wsEscapeAnalyzer = &Analyzer{
 	Name:     "wsescape",
 	Doc:      "workspace checkouts must not be read after Reset or escape the arena-owning function",
 	Severity: SeverityError,
-	Version:  1,
 	Run:      runWSEscape,
 }
 

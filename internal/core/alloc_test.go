@@ -27,36 +27,45 @@ func TestARDSolveToAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := blocktri.RandomDiagDominant(64, 8, rng)
 	for _, rhs := range []int{1, 4, 64, 256} {
-		s := NewARD(a, Config{World: comm.NewWorld(4)})
-		if err := s.Factor(); err != nil {
-			t.Fatal(err)
-		}
-		b := a.RandomRHS(rhs, rng)
-		x := mat.New(b.Rows, b.Cols)
-		for i := 0; i < 3; i++ { // warm the arenas and pools
-			if err := s.SolveTo(x, b); err != nil {
+		// Each R gets its own World, closed when the iteration ends. A World
+		// left for its finalizer keeps its rank workers and watchdog parked
+		// until a GC reaps it, and under CPU contention the runtime then
+		// allocated fresh sudogs (its 96-byte goroutine wait records) inside
+		// a later R's measured window.
+		func() {
+			w := comm.NewWorld(4)
+			defer w.Close()
+			s := NewARD(a, Config{World: w})
+			if err := s.Factor(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if err := s.SolveTo(x, b); err != nil {
+			b := a.RandomRHS(rhs, rng)
+			x := mat.New(b.Rows, b.Cols)
+			for i := 0; i < 3; i++ { // warm the arenas and pools
+				if err := s.SolveTo(x, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := s.SolveTo(x, b); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("ARD.SolveTo R=%d: %v allocs/op, want 0", rhs, allocs)
+			}
+			// The reused destination must hold exactly what a fresh Solve
+			// produces. (At this N the transfer products have grown too
+			// much for a residual check — that is RD-family conditioning,
+			// measured by PrefixGrowth, not an allocation-path property.)
+			want, err := s.Solve(b)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("ARD.SolveTo R=%d: %v allocs/op, want 0", rhs, allocs)
-		}
-		// The reused destination must hold exactly what a fresh Solve
-		// produces. (At this N the transfer products have grown too much
-		// for a residual check — that is RD-family conditioning, measured
-		// by PrefixGrowth, not an allocation-path property.)
-		want, err := s.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !x.Equal(want) {
-			t.Errorf("ARD.SolveTo R=%d differs from Solve", rhs)
-		}
+			if !x.Equal(want) {
+				t.Errorf("ARD.SolveTo R=%d differs from Solve", rhs)
+			}
+		}()
 	}
 }
 

@@ -169,7 +169,6 @@ func (s *base) Solve(b *mat.Matrix) (*mat.Matrix, error) {
 	if err := checkRHS(s.a, b); err != nil {
 		return nil, err
 	}
-	//lint:ignore hotalloc Solve returns a caller-owned result; SolveTo is the reuse path
 	x := mat.New(b.Rows, b.Cols)
 	if err := s.SolveTo(x, b); err != nil {
 		return nil, err

@@ -6,17 +6,8 @@ set -eux
 go build ./...
 go vet ./...
 # Domain lint, once: the text stream on stdout gates the build while the
-# same run is archived as SARIF for code-scanning upload. Incremental by
-# default — only packages whose content or dependencies changed since the
-# last run are re-analyzed (.blocktri-lint-cache/; -no-cache forces cold).
+# same run is archived as SARIF for code-scanning upload.
 go run ./cmd/blocktri-lint -format text,sarif -sarif-out reports/lint.sarif ./...
-# Performance-contract pass, archived on its own: just the compiler-evidence
-# quartet (perfescape, perfbce, perfinline, asmcheck), so code scanning gets
-# a report scoped to the perf contracts next to the full-suite one. The
-# full-suite run above already computed and cached the compiler fact table,
-# so this pass replays it instead of re-invoking the toolchain.
-go run ./cmd/blocktri-lint -analyzers perfescape,perfbce,perfinline,asmcheck \
-	-format text,sarif -sarif-out reports/lint-perf.sarif ./...
 go test ./...
 go test -race ./...
 # The portable kernels are the only ones on hosts without AVX-512, and the
