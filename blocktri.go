@@ -45,9 +45,8 @@
 // PrefixGrowth times machine epsilon.
 //
 // The heavy lifting lives in the internal packages (internal/mat dense
-// kernels, internal/comm message-passing runtime, internal/prefix parallel
-// scans, internal/core solvers); this package re-exports the stable
-// surface.
+// kernels, internal/comm message-passing runtime, internal/core solvers);
+// this package re-exports the stable surface.
 package blocktri
 
 import (
@@ -59,7 +58,6 @@ import (
 	"blocktri/internal/core"
 	"blocktri/internal/costmodel"
 	"blocktri/internal/mat"
-	"blocktri/internal/prefix"
 )
 
 // Matrix is a block tridiagonal matrix of N block rows with M x M blocks.
@@ -79,7 +77,7 @@ type CommStats = comm.Stats
 // details.
 type Solver = core.Solver
 
-// Config selects the communicator and scan schedule for RD and ARD.
+// Config selects the communicator the distributed solvers run on.
 type Config = core.Config
 
 // SolveStats reports the cost of a solver's Factor call or last solve.
@@ -98,16 +96,6 @@ type (
 	Spike = core.Spike
 	// Dense is the dense-LU reference solver.
 	Dense = core.Dense
-)
-
-// Schedule selects the cross-rank scan algorithm for RD.
-type Schedule = prefix.Schedule
-
-// Scan schedules.
-const (
-	KoggeStone = prefix.KoggeStone
-	BrentKung  = prefix.BrentKung
-	Chain      = prefix.Chain
 )
 
 // Error sentinels re-exported for errors.Is checks by callers.

@@ -11,15 +11,16 @@ import (
 )
 
 func main() {
-	// A strongly anisotropic diffusion problem on a 32 x 64 grid: 64 block
-	// rows (grid lines) with 32 x 32 blocks. Strong line-to-line coupling
-	// keeps the block recurrence stable, which is the regime recursive
-	// doubling is designed for (see the package documentation).
-	a := blocktri.NewAnisotropicDiffusion(32, 64, 0.01)
+	// An oscillatory system: 1024 block rows with 16 x 16 blocks, whose
+	// propagation modes lie on the unit circle. Its block recurrence
+	// neither grows nor decays, which is the regime recursive doubling is
+	// accurate in at any N (see the package documentation's caveat).
+	rng := rand.New(rand.NewSource(1))
+	a := blocktri.NewOscillatory(1024, 16, rng)
 
-	// A communicator with 4 ranks (goroutine-backed; on a cluster these
+	// A communicator with 8 ranks (goroutine-backed; on a cluster these
 	// would be MPI processes).
-	world := blocktri.NewWorld(4)
+	world := blocktri.NewWorld(8)
 	solver := blocktri.NewARD(a, blocktri.Config{World: world})
 
 	// Factor once; every subsequent Solve costs only O(M^2) per block row.
@@ -27,13 +28,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One right-hand side with three columns (three source terms solved
-	// in one batched call).
-	rng := rand.New(rand.NewSource(1))
-	b := blocktri.NewDenseMatrix(a.N*a.M, 3)
-	for i := range b.Data {
-		b.Data[i] = rng.Float64()
-	}
+	// Four right-hand sides solved in one batched call, stacked as an
+	// (N*M) x 4 matrix.
+	b := a.RandomRHS(4, rng)
 
 	x, err := solver.Solve(b)
 	if err != nil {

@@ -131,22 +131,6 @@ func TestFacadeMatrixTransforms(t *testing.T) {
 	}
 }
 
-func TestFacadeSchedulesExposed(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := blocktri.NewOscillatory(16, 2, rng)
-	b := a.RandomRHS(1, rng)
-	for _, sched := range []blocktri.Schedule{blocktri.KoggeStone, blocktri.BrentKung, blocktri.Chain} {
-		rd := blocktri.NewRD(a, blocktri.Config{World: blocktri.NewWorld(4), Schedule: sched})
-		x, err := rd.Solve(b)
-		if err != nil {
-			t.Fatalf("%v: %v", sched, err)
-		}
-		if rr := a.RelResidual(x, b); rr > 1e-10 {
-			t.Fatalf("%v: residual %v", sched, rr)
-		}
-	}
-}
-
 func TestFacadePredictedSpeedupMonotone(t *testing.T) {
 	p := blocktri.CostParams{N: 512, M: 16, P: 8, R: 1}
 	prev := 0.0

@@ -20,10 +20,9 @@ import (
 //
 //   - Constant expressions (literals or named constants): collected
 //     module-wide and cross-checked send-side vs receive-side.
-//   - Bare identifiers and selector expressions (a forwarded tag
-//     parameter, as the prefix scan helpers use): accepted silently —
-//     matching is the caller's responsibility at the site that supplies
-//     the constant.
+//   - Bare identifiers and selector expressions (a tag parameter a
+//     helper forwards): accepted silently — matching is the caller's
+//     responsibility at the site that supplies the constant.
 //   - Anything else (tag arithmetic like base+round): flagged, because a
 //     computed tag defeats static matching and is one off-by-one away
 //     from a cross-phase collision.
@@ -44,14 +43,11 @@ type tagOp struct {
 }
 
 var tagOps = map[string]tagOp{
-	"Send":             {index: 1, send: true},
-	"SendOwned":        {index: 1, send: true},
-	"SendMatrix":       {index: 1, send: true},
-	"Recv":             {index: 1, recv: true},
-	"RecvMatrix":       {index: 1, recv: true},
-	"SendRecv":         {index: 3, send: true, recv: true},
-	"Exchange":         {index: 1, send: true, recv: true},
-	"ExchangeMatrices": {index: 1, send: true, recv: true},
+	"Send":      {index: 1, send: true},
+	"SendOwned": {index: 1, send: true},
+	"Recv":      {index: 1, recv: true},
+	"SendRecv":  {index: 3, send: true, recv: true},
+	"Exchange":  {index: 1, send: true, recv: true},
 }
 
 type tagUse struct {

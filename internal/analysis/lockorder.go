@@ -50,8 +50,7 @@ const commPkgPath = "blocktri/internal/comm"
 var blockingCommOps = map[string]bool{
 	"Send": true, "SendOwned": true, "Recv": true, "SendRecv": true, "Exchange": true,
 	"Barrier": true, "Bcast": true, "Allreduce": true, "Gather": true,
-	"SendMatrix": true, "RecvMatrix": true, "ExchangeMatrices": true,
-	"BcastMatrix": true,
+	"BcastMatrixInto": true,
 }
 
 // commOpName returns the name of the blocking comm operation a call

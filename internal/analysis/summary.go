@@ -765,11 +765,9 @@ type p2pArgSpec struct {
 }
 
 var p2pSpecs = map[string]p2pArgSpec{
-	"Send":       {send: true, rankIdx: 0, tagIdx: 1},
-	"SendOwned":  {send: true, rankIdx: 0, tagIdx: 1},
-	"SendMatrix": {send: true, rankIdx: 0, tagIdx: 1},
-	"Recv":       {send: false, rankIdx: 0, tagIdx: 1},
-	"RecvMatrix": {send: false, rankIdx: 0, tagIdx: 1},
+	"Send":      {send: true, rankIdx: 0, tagIdx: 1},
+	"SendOwned": {send: true, rankIdx: 0, tagIdx: 1},
+	"Recv":      {send: false, rankIdx: 0, tagIdx: 1},
 }
 
 // commFacet fills Comm/CommOpaque: the function's point-to-point traffic
@@ -837,7 +835,7 @@ func (s *summarizer) commFacet(sum *FuncSummary) {
 			addSite(true, call.Args[0], call.Args[3])
 			addSite(false, call.Args[2], call.Args[3])
 			return true
-		case "Exchange", "ExchangeMatrices":
+		case "Exchange":
 			return true // pairs with itself on both ends
 		case "":
 			// A callee with its own unexpressed point-to-point traffic

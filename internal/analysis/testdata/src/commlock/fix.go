@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"blocktri/internal/comm"
+	"blocktri/internal/mat"
 )
 
 type state struct {
@@ -32,6 +33,12 @@ func readLocked(c *comm.Comm, data []float64) []float64 {
 	out := c.Allreduce(data, comm.OpSum) // want `comm\.Allreduce while rw is locked`
 	rw.RUnlock()
 	return out
+}
+
+func lockedBcast(c *comm.Comm, s *state, x0 *mat.Matrix) {
+	s.mu.Lock()
+	c.BcastMatrixInto(0, x0) // want `comm\.BcastMatrixInto while s\.mu is locked`
+	s.mu.Unlock()
 }
 
 func nonblockingOK(c *comm.Comm, s *state) {

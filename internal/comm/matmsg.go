@@ -110,31 +110,6 @@ func DecodeMatrices(p []float64) []*mat.Matrix {
 	return ms
 }
 
-// SendMatrix ships m to dst under tag.
-func (c *Comm) SendMatrix(dst, tag int, m *mat.Matrix) {
-	c.Send(dst, tag, EncodeMatrix(m))
-}
-
-// RecvMatrix receives a matrix from src under tag.
-func (c *Comm) RecvMatrix(src, tag int) *mat.Matrix {
-	return DecodeMatrix(c.Recv(src, tag))
-}
-
-// ExchangeMatrices performs a pairwise exchange of a bundle of matrices
-// with partner and returns the partner's bundle.
-func (c *Comm) ExchangeMatrices(partner, tag int, ms ...*mat.Matrix) []*mat.Matrix {
-	return DecodeMatrices(c.Exchange(partner, tag, EncodeMatrices(ms...)))
-}
-
-// BcastMatrix broadcasts root's matrix to all ranks.
-func (c *Comm) BcastMatrix(root int, m *mat.Matrix) *mat.Matrix {
-	var payload []float64
-	if c.Rank() == root {
-		payload = EncodeMatrix(m)
-	}
-	return DecodeMatrix(c.Bcast(root, payload))
-}
-
 // TryDecodeMatrixInto copies an EncodeMatrix payload into dst, which must
 // already have the encoded shape. Unlike TryDecodeMatrix it allocates
 // nothing, so the caller may Release the payload afterwards.
@@ -188,9 +163,9 @@ func (c *Comm) EncodeMatrixInto(m *mat.Matrix) []float64 {
 
 // BcastMatrixInto broadcasts root's matrix into every rank's preallocated
 // m (all ranks pass a matrix of the broadcast shape; root's holds the
-// data). It follows BcastMatrix's binomial-tree schedule and wire format
-// exactly but allocates nothing in steady state: root encodes into its
-// persistent scratch and receivers decode in place and release the payload.
+// data). It follows Bcast's binomial tree with EncodeMatrix's wire format
+// but allocates nothing in steady state: root encodes into its persistent
+// scratch and receivers decode in place and release the payload.
 func (c *Comm) BcastMatrixInto(root int, m *mat.Matrix) {
 	p := c.Size()
 	if root < 0 || root >= p {

@@ -62,54 +62,6 @@ func TestDecodeMatricesRejectsTrailing(t *testing.T) {
 	}
 }
 
-func TestSendRecvMatrixAcrossRanks(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := mat.Random(4, 4, rng)
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.SendMatrix(1, 11, m)
-		} else {
-			got := c.RecvMatrix(0, 11)
-			if !got.Equal(m) {
-				panic("matrix corrupted in transit")
-			}
-		}
-	})
-}
-
-func TestExchangeMatrices(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		mine := mat.Identity(2)
-		mat.Scale(mine, float64(c.Rank()+1))
-		got := c.ExchangeMatrices(c.Rank()^1, 12, mine, mine)
-		want := mat.Identity(2)
-		mat.Scale(want, float64((c.Rank()^1)+1))
-		if len(got) != 2 || !got[0].Equal(want) || !got[1].Equal(want) {
-			panic("exchange bundle wrong")
-		}
-	})
-}
-
-func TestBcastMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := mat.Random(3, 3, rng)
-	for _, p := range []int{1, 3, 4} {
-		w := NewWorld(p)
-		w.Run(func(c *Comm) {
-			var in *mat.Matrix
-			if c.Rank() == 1%p {
-				in = m
-			}
-			got := c.BcastMatrix(1%p, in)
-			if !got.Equal(m) {
-				panic("bcast matrix wrong")
-			}
-		})
-	}
-}
-
 // Property: encode/decode of random bundles round-trips exactly.
 func TestEncodeMatricesProperty(t *testing.T) {
 	f := func(seed int64) bool {

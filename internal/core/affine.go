@@ -50,26 +50,15 @@ func ComposeAffine(earlier, later Affine) Affine {
 	return Affine{S: s, H: h}
 }
 
-// ComposeH computes only the H part of later ∘ earlier when later's S is
-// already known (the ARD solve-phase combine): S_later*H_earlier + H_later.
-// laterS must be non-nil; earlierH may be nil (identity), in which case
-// laterH is returned unchanged (shared, not copied).
-func ComposeH(earlierH, laterS, laterH *mat.Matrix) *mat.Matrix {
-	if earlierH == nil {
-		return laterH
-	}
-	h := mat.New(laterS.Rows, earlierH.Cols)
-	mat.Mul(h, laterS, earlierH)
-	mat.Add(h, h, laterH)
-	return h
-}
-
-// composeHWS is ComposeH with the result checked out of a workspace. The
-// operations (and therefore the bits) are identical; only the storage
-// discipline differs. A valid sp is laterS prepacked (ARD's factor phase
-// packs every stored S once); the packed branch seeds the result with
-// laterH and adds the product total once, which rounds identically to the
-// fallback's product-then-add because IEEE addition commutes.
+// composeHWS computes only the H part of later ∘ earlier when later's S is
+// already known (the ARD solve-phase combine): S_later*H_earlier +
+// H_later, with the result checked out of a workspace. Its operations, and
+// so its bits, are ComposeAffine's. laterS must be non-nil; earlierH may
+// be nil (identity), in which case laterH is returned unchanged (shared,
+// not copied). A valid sp is laterS prepacked (ARD's factor phase packs
+// every stored S once); the packed branch seeds the result with laterH and
+// adds the product total once, which rounds identically to the fallback's
+// product-then-add because IEEE addition commutes.
 //
 //perf:hotpath
 func composeHWS(ws *mat.Workspace, earlierH, laterS *mat.Matrix, sp mat.PackedA, laterH *mat.Matrix, bs []float64) *mat.Matrix {
@@ -87,8 +76,8 @@ func composeHWS(ws *mat.Workspace, earlierH, laterS *mat.Matrix, sp mat.PackedA,
 	return h
 }
 
-// affineCodec serializes Affine values for cross-rank scans. The identity
-// is a single 0 flag word.
+// encodeAffine serializes an Affine for RD's cross-rank scan. The
+// identity is a single 0 flag word.
 func encodeAffine(a Affine) []float64 {
 	if a.IsIdentity() {
 		return []float64{0}
@@ -114,7 +103,7 @@ func decodeAffine(p []float64) Affine {
 	return Affine{S: ms[0], H: ms[1]}
 }
 
-// matOrIdentity serializes a bare S matrix (ARD factor phase) with the
+// encodeSMat serializes a bare S matrix (ARD factor phase) with the
 // same identity convention.
 func encodeSMat(s *mat.Matrix) []float64 {
 	if s == nil {
@@ -162,7 +151,7 @@ func packHMat(c *comm.Comm, h *mat.Matrix) []float64 {
 	return buf
 }
 
-// decodeHMatWS decodes an encodeHMatWS/encodeSMat payload into workspace
+// decodeHMatWS decodes a packHMat/encodeSMat payload into workspace
 // storage (nil for the identity flag). It copies, so the caller may Release
 // the payload afterwards.
 func decodeHMatWS(ws *mat.Workspace, p []float64) *mat.Matrix {

@@ -4,7 +4,6 @@ import (
 	"blocktri/internal/blocktri"
 	"blocktri/internal/comm"
 	"blocktri/internal/mat"
-	"blocktri/internal/prefix"
 )
 
 // ARD is the accelerated recursive doubling solver — the paper's
@@ -31,12 +30,11 @@ import (
 // M^2 terms, versus RD's R separate M^3 terms — the O(R) improvement the
 // paper reports (saturating at O(M) once R grows past the block size).
 //
-// ARD's solve phase replays the factor phase's Kogge-Stone schedule
+// ARD's solve phase replays the factor phase's Kogge-Stone rounds
 // exactly, so given the same inputs ARD(Factor+Solve) and RD produce
 // bit-identical solutions.
 type ARD struct {
 	base
-	sched prefix.Schedule
 
 	rk     []*ardRankState // per-rank factor state
 	luRm   *mat.LU         // factored reduced system (rank P-1)
@@ -77,15 +75,9 @@ type ardRankState struct {
 }
 
 // NewARD returns an accelerated recursive doubling solver for a over
-// cfg's world. cfg.Schedule selects the cross-rank scan: KoggeStone (the
-// default, the paper's recursive doubling pattern) or Chain (the
-// sequential-pipeline ablation baseline); BrentKung is not replayable in
-// the solve phase and falls back to KoggeStone.
+// cfg's world.
 func NewARD(a *blocktri.Matrix, cfg Config) *ARD {
-	s := &ARD{sched: cfg.Schedule}
-	if s.sched != prefix.Chain {
-		s.sched = prefix.KoggeStone
-	}
+	s := &ARD{}
 	s.init(a, cfg.world(), s)
 	return s
 }
@@ -240,48 +232,31 @@ func (s *ARD) factorRank(c *comm.Comm) (int64, error) {
 		return fc.n, buildErr
 	}
 
-	// Cross-rank exclusive scan on S. The Kogge-Stone path records the
-	// entry values of every round so Solve can replay the same combines on
-	// the vector halves; the chain path needs no per-round state (the
-	// solve replay recombines with the stored local total only).
-	if s.sched == prefix.Chain {
-		var preS *mat.Matrix
-		if r > 0 {
-			preS = decodeSMat(c.Recv(r-1, tagARDFactorScan))
+	// Cross-rank exclusive scan on S, recording the entry values of every
+	// Kogge-Stone round so Solve can replay the same combines on the
+	// vector halves.
+	accS := st.localTotalS
+	var preS *mat.Matrix
+	for dist := 1; dist < p; dist <<= 1 {
+		st.rounds = append(st.rounds, ardRound{dist: dist, preS: preS, accS: accS})
+		if r+dist < p {
+			c.Send(r+dist, tagARDFactorScan, encodeSMat(accS))
 		}
-		if r < p-1 {
-			inc := st.localTotalS
-			if preS != nil && st.localTotalS != nil {
-				fc.add(gemmFlops(2*m, 2*m, 2*m))
-			}
-			inc = composeS(preS, inc)
-			c.Send(r+1, tagARDFactorScan, encodeSMat(inc))
-		}
-		st.piS = preS
-	} else {
-		accS := st.localTotalS
-		var preS *mat.Matrix
-		for dist := 1; dist < p; dist <<= 1 {
-			st.rounds = append(st.rounds, ardRound{dist: dist, preS: preS, accS: accS})
-			if r+dist < p {
-				c.Send(r+dist, tagARDFactorScan, encodeSMat(accS))
-			}
-			if r-dist >= 0 {
-				recvS := decodeSMat(c.Recv(r-dist, tagARDFactorScan))
-				if recvS != nil {
-					if preS != nil {
-						fc.add(gemmFlops(2*m, 2*m, 2*m))
-					}
-					preS = composeS(recvS, preS)
-					if accS != nil {
-						fc.add(gemmFlops(2*m, 2*m, 2*m))
-					}
-					accS = composeS(recvS, accS)
+		if r-dist >= 0 {
+			recvS := decodeSMat(c.Recv(r-dist, tagARDFactorScan))
+			if recvS != nil {
+				if preS != nil {
+					fc.add(gemmFlops(2*m, 2*m, 2*m))
 				}
+				preS = composeS(recvS, preS)
+				if accS != nil {
+					fc.add(gemmFlops(2*m, 2*m, 2*m))
+				}
+				accS = composeS(recvS, accS)
 			}
 		}
-		st.piS = preS
 	}
+	st.piS = preS
 
 	// Reduced system on the last rank: factor it once.
 	var err error
@@ -346,56 +321,36 @@ func (s *ARD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 	}
 	localTotalH := h.all
 
-	// Replay the scan on the vector halves only. Each round moves its whole
-	// panel in one pooled message (packHMat builds the payload in a comm
-	// buffer; received buffers go back to the pool once decoded).
+	// Replay the Kogge-Stone rounds on the vector halves only. Each round
+	// moves its whole panel in one pooled message (packHMat builds the
+	// payload in a comm buffer; received buffers go back to the pool once
+	// decoded).
 	var preH *mat.Matrix
-	if s.sched == prefix.Chain {
-		if r > 0 {
-			payload := c.Recv(r-1, tagARDSolveScan)
-			preH = decodeHMatWS(ws, payload)
-			c.Release(payload)
+	accH := localTotalH
+	for _, round := range st.rounds {
+		if r+round.dist < p {
+			c.SendOwned(r+round.dist, tagARDSolveScan, packHMat(c, accH))
 		}
-		if r < p-1 {
-			// Inclusive H: combine(pre, local).H = localTotalS*preH + localTotalH.
-			incH := localTotalH
-			if preH != nil {
-				if st.localTotalS != nil {
-					fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-					incH = composeHWS(ws, preH, st.localTotalS, st.localTotalSPack, localTotalH, bs)
-				} else {
-					incH = preH
-				}
-			}
-			c.SendOwned(r+1, tagARDSolveScan, packHMat(c, incH))
+		if r-round.dist < 0 {
+			continue
 		}
-	} else {
-		accH := localTotalH
-		for _, round := range st.rounds { // Kogge-Stone replay
-			if r+round.dist < p {
-				c.SendOwned(r+round.dist, tagARDSolveScan, packHMat(c, accH))
-			}
-			if r-round.dist < 0 {
-				continue
-			}
-			payload := c.Recv(r-round.dist, tagARDSolveScan)
-			recvH := decodeHMatWS(ws, payload)
-			c.Release(payload)
-			if recvH == nil {
-				continue
-			}
-			if round.preS == nil {
-				preH = recvH
-			} else {
-				fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-				preH = composeHWS(ws, recvH, round.preS, round.preSPack, preH, bs)
-			}
-			if round.accS == nil {
-				accH = recvH
-			} else {
-				fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
-				accH = composeHWS(ws, recvH, round.accS, round.accSPack, accH, bs)
-			}
+		payload := c.Recv(r-round.dist, tagARDSolveScan)
+		recvH := decodeHMatWS(ws, payload)
+		c.Release(payload)
+		if recvH == nil {
+			continue
+		}
+		if round.preS == nil {
+			preH = recvH
+		} else {
+			fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
+			preH = composeHWS(ws, recvH, round.preS, round.preSPack, preH, bs)
+		}
+		if round.accS == nil {
+			accH = recvH
+		} else {
+			fc.add(gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
+			accH = composeHWS(ws, recvH, round.accS, round.accSPack, accH, bs)
 		}
 	}
 

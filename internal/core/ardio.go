@@ -10,7 +10,6 @@ import (
 	"blocktri/internal/blocktri"
 	"blocktri/internal/comm"
 	"blocktri/internal/mat"
-	"blocktri/internal/prefix"
 )
 
 // ARD factorization serialization: the factor phase is the expensive part
@@ -27,11 +26,16 @@ import (
 // sections from the matrix, and LoadFactor builds U^{-1} from the stored
 // LU and keeps neither the LU nor T's bottom half. A factor file is
 // untrusted input: LoadFactor checks every section's shape and every
-// rank's layout against (N, M, P) and the schedule, and rejects an LU
-// with a zero on U's diagonal, before it builds anything.
+// rank's layout against (N, M, P), and rejects an LU with a zero on U's
+// diagonal, before it builds anything.
 
 // ardMagic identifies the on-disk ARD factor format ("ARF1").
 const ardMagic = 0x41524631
+
+// ardKoggeStone is the header word after P. Every factor file records the
+// Kogge-Stone rounds, and this value 0 names them; older files that hold
+// another value describe state the solve phase cannot replay.
+const ardKoggeStone = 0
 
 // SaveFactor serializes the factor-phase state. Factor is run first if it
 // has not completed. The element sections are rebuilt from the solver's
@@ -42,7 +46,7 @@ func (s *ARD) SaveFactor(w io.Writer) (int64, error) {
 		return 0, err
 	}
 	enc := newEncoder(w)
-	for _, v := range []uint64{ardMagic, uint64(s.a.N), uint64(s.a.M), uint64(s.world.P), uint64(s.sched)} {
+	for _, v := range []uint64{ardMagic, uint64(s.a.N), uint64(s.a.M), uint64(s.world.P), ardKoggeStone} {
 		enc.u64(v)
 	}
 	enc.f64(s.growth)
@@ -108,19 +112,14 @@ func LoadFactor(a *blocktri.Matrix, cfg Config, r io.Reader) (*ARD, error) {
 	}
 	// No legitimate section is longer than a 2M x 2M transfer matrix.
 	dec.maxSection = 2 + 4*a.M*a.M
-	// The solve phase must replay the schedule the factor state was
-	// produced with, regardless of cfg.Schedule.
-	switch sched := prefix.Schedule(dec.u64()); sched {
-	case prefix.KoggeStone, prefix.Chain:
-		s.sched = sched
-	default:
-		dec.fail("core: saved factor has unknown schedule %d", sched)
+	if rounds := dec.u64(); rounds != ardKoggeStone {
+		dec.fail("core: saved factor has scan-round code %d, want %d", rounds, ardKoggeStone)
 	}
 	s.growth = dec.f64()
 	dec.floats() // reserved slot
 	s.luRm = dec.lu(a.M)
 	for rank := 0; a.N > 1 && rank < s.world.P && dec.err == nil; rank++ {
-		s.rk = append(s.rk, loadRank(dec, a, s.sched, s.world.P, rank))
+		s.rk = append(s.rk, loadRank(dec, a, s.world.P, rank))
 	}
 	if dec.err != nil {
 		return nil, dec.err
@@ -136,13 +135,13 @@ func LoadFactor(a *blocktri.Matrix, cfg Config, r io.Reader) (*ARD, error) {
 }
 
 // loadRank decodes one rank's factor state and checks it against the
-// layout Factor produces for (N, M, P) and the schedule: the block range,
-// the element count and indices, every section's shape, the Kogge-Stone
-// round distances, and which scan matrices are the identity. Each element
-// is kept as Factor keeps it, from its transfer matrix's top half and
-// U^{-1} solved from the stored LU; the substitution's per-column
-// arithmetic does not depend on the width, so U^{-1} has Factor's bits.
-func loadRank(dec *decoder, a *blocktri.Matrix, sched prefix.Schedule, p, rank int) *ardRankState {
+// layout Factor produces for (N, M, P): the block range, the element
+// count and indices, every section's shape, the Kogge-Stone round
+// distances, and which scan matrices are the identity. Each element is
+// kept as Factor keeps it, from its transfer matrix's top half and U^{-1}
+// solved from the stored LU; the substitution's per-column arithmetic
+// does not depend on the width, so U^{-1} has Factor's bits.
+func loadRank(dec *decoder, a *blocktri.Matrix, p, rank int) *ardRankState {
 	m := a.M
 	lo, hi := PartRange(a.N, p, rank)
 	first, ne := max(lo, 1), max(hi-max(lo, 1), 0)
@@ -195,10 +194,7 @@ func loadRank(dec *decoder, a *blocktri.Matrix, sched prefix.Schedule, p, rank i
 		acc[q] = h > max(l, 1)
 	}
 	var want [][2]bool
-	for q := 1; sched == prefix.Chain && q < p; q++ {
-		pre[q] = pre[q-1] || acc[q-1]
-	}
-	for dist := 1; sched == prefix.KoggeStone && dist < p; dist <<= 1 {
+	for dist := 1; dist < p; dist <<= 1 {
 		want = append(want, [2]bool{pre[rank], acc[rank]})
 		for q := p - 1; q >= dist; q-- {
 			pre[q], acc[q] = pre[q] || acc[q-dist], acc[q] || acc[q-dist]

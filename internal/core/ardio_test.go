@@ -14,7 +14,6 @@ import (
 	"blocktri/internal/blocktri"
 	"blocktri/internal/comm"
 	"blocktri/internal/mat"
-	"blocktri/internal/prefix"
 )
 
 func TestARDFactorSaveLoadRoundTrip(t *testing.T) {
@@ -158,9 +157,8 @@ func TestARDFactorSaveLoadProperty(t *testing.T) {
 		n := 1 + rng.Intn(16)
 		m := 1 + rng.Intn(4)
 		p := 1 + rng.Intn(5)
-		sched := []prefix.Schedule{prefix.KoggeStone, prefix.Chain}[rng.Intn(2)]
 		a := blocktri.RandomDiagDominant(n, m, rng)
-		orig := NewARD(a, Config{World: comm.NewWorld(p), Schedule: sched})
+		orig := NewARD(a, Config{World: comm.NewWorld(p)})
 		if err := orig.Factor(); err != nil {
 			return false
 		}
@@ -223,41 +221,11 @@ func TestLoadFactorSurvivesCorruption(t *testing.T) {
 	}
 }
 
-func TestSaveLoadPreservesSchedule(t *testing.T) {
-	// A chain-factored ARD has no Kogge-Stone round snapshots; loading it
-	// into a default (Kogge-Stone) config must still replay the chain
-	// schedule, or the H prefixes would silently be dropped.
-	rng := rand.New(rand.NewSource(405))
-	a := blocktri.Oscillatory(16, 3, rng)
-	b := a.RandomRHS(2, rng)
-	orig := NewARD(a, Config{World: comm.NewWorld(4), Schedule: prefix.Chain})
-	want, err := orig.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := orig.SaveFactor(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Deliberately load with the default schedule in the config.
-	loaded, err := LoadFactor(a, Config{World: comm.NewWorld(4)}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("loaded chain factorization replayed with the wrong schedule")
-	}
-}
-
-// savedTampered factors a on a p-rank world with the given schedule,
-// applies tamper to the factor state, and returns what SaveFactor writes.
-func savedTampered(t *testing.T, a *blocktri.Matrix, p int, sched prefix.Schedule, tamper func(*ARD)) []byte {
+// savedTampered factors a on a p-rank world, applies tamper to the factor
+// state, and returns what SaveFactor writes.
+func savedTampered(t *testing.T, a *blocktri.Matrix, p int, tamper func(*ARD)) []byte {
 	t.Helper()
-	s := NewARD(a, Config{World: comm.NewWorld(p), Schedule: sched})
+	s := NewARD(a, Config{World: comm.NewWorld(p)})
 	if err := s.Factor(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +239,8 @@ func savedTampered(t *testing.T, a *blocktri.Matrix, p int, sched prefix.Schedul
 
 // TestLoadFactorRejectsMisshapenSections covers the corruption random byte
 // flips never produce: sections that are well formed on their own but do
-// not fit (N, M, P) and the schedule. Each must come back as an error, not
-// a panic in the caller's goroutine, one case per check.
+// not fit (N, M, P). Each must come back as an error, not a panic in the
+// caller's goroutine, one case per check.
 func TestLoadFactorRejectsMisshapenSections(t *testing.T) {
 	rng := rand.New(rand.NewSource(406))
 	a := blocktri.Oscillatory(8, 4, rng)
@@ -290,7 +258,7 @@ func TestLoadFactorRejectsMisshapenSections(t *testing.T) {
 	// every element section from the matrix. sections finds each section
 	// whose length word and first word are those given; a section's word w
 	// sits 8*(1+w) bytes past its offset.
-	saved := savedTampered(t, a, p, prefix.KoggeStone, func(*ARD) {})
+	saved := savedTampered(t, a, p, func(*ARD) {})
 	sections := func(words int, first float64) []int {
 		var pat []byte
 		for _, v := range []uint64{uint64(words), math.Float64bits(first)} {
@@ -320,39 +288,42 @@ func TestLoadFactorRejectsMisshapenSections(t *testing.T) {
 	// The reduced system's LU comes first, then the first element's.
 	reducedLU, elemLU := lus[0], lus[1]
 	diag := func(i int) int { return 2 + m + i*m + i } // U[i][i]'s word in an LU section
+	// The header's fifth word, after the magic and N, M, P, names the
+	// Kogge-Stone rounds with 0; no other value is a file LoadFactor reads.
+	scanWord := append([]byte(nil), saved...)
+	binary.LittleEndian.PutUint64(scanWord[32:], 2)
 
 	for _, tc := range []struct {
 		name   string
-		sched  prefix.Schedule
 		tamper func(*ARD)
 		data   []byte // a byte-edited file, used when tamper is nil
 		want   string
 	}{
-		{"rank lo", prefix.KoggeStone, func(s *ARD) { s.rk[1].lo++ }, nil, "layout"},
-		{"rank hi", prefix.KoggeStone, func(s *ARD) { s.rk[0].hi-- }, nil, "layout"},
-		{"rank first", prefix.KoggeStone, func(s *ARD) { s.rk[0].first = 0 }, nil, "layout"},
-		{"element count", prefix.KoggeStone, func(s *ARD) { s.rk[0].elems = s.rk[0].elems[1:] }, nil, "layout"},
-		{"element index", prefix.KoggeStone, func(s *ARD) { s.rk[1].elems[0].idx++ }, nil, "has index"},
-		{"U order", prefix.KoggeStone, nil, edit(elemLU, map[int]float64{0: float64(m - 1)}), "want one of order"},
-		{"U singular", prefix.KoggeStone, nil, edit(elemLU, map[int]float64{diag(0): 0}), "zero on U's diagonal"},
-		{"local total shape", prefix.KoggeStone, func(s *ARD) { s.rk[0].localTotalS = mat.New(2*m, m) }, nil, "section of"},
-		{"local total missing", prefix.KoggeStone, func(s *ARD) { s.rk[0].localTotalS = nil }, nil, "section of 0 words"},
-		{"round snapshot shape", prefix.KoggeStone, func(s *ARD) { s.rk[1].rounds[0].accS = mat.New(m, m) }, nil, "section of"},
-		{"prefix shape", prefix.KoggeStone, func(s *ARD) { s.rk[1].piS = mat.New(2*m, 2*m-1) }, nil, "section of"},
-		{"round count", prefix.KoggeStone, func(s *ARD) { s.rk[0].rounds = append(s.rk[0].rounds, s.rk[0].rounds[0]) }, nil, "scan rounds"},
-		{"round distance", prefix.KoggeStone, func(s *ARD) { s.rk[0].rounds[0].dist = 2 }, nil, "distance"},
-		{"chain rounds", prefix.Chain, func(s *ARD) { s.rk[0].rounds = []ardRound{{dist: 1}} }, nil, "scan rounds"},
-		{"identity snapshot present", prefix.KoggeStone, func(s *ARD) { s.rk[1].rounds[0].preS = mat.New(2*m, 2*m) }, nil, "has the identity"},
-		{"identity prefix present", prefix.KoggeStone, func(s *ARD) { s.rk[0].piS = mat.New(2*m, 2*m) }, nil, "has the identity"},
-		{"reduced system order", prefix.KoggeStone, func(s *ARD) { s.luRm = identityLU(m + 1) }, nil, "want one of order"},
-		{"reduced system singular", prefix.KoggeStone, nil, edit(reducedLU, map[int]float64{diag(m - 1): 0}), "zero on U's diagonal"},
+		{"rank lo", func(s *ARD) { s.rk[1].lo++ }, nil, "layout"},
+		{"rank hi", func(s *ARD) { s.rk[0].hi-- }, nil, "layout"},
+		{"rank first", func(s *ARD) { s.rk[0].first = 0 }, nil, "layout"},
+		{"element count", func(s *ARD) { s.rk[0].elems = s.rk[0].elems[1:] }, nil, "layout"},
+		{"element index", func(s *ARD) { s.rk[1].elems[0].idx++ }, nil, "has index"},
+		{"U order", nil, edit(elemLU, map[int]float64{0: float64(m - 1)}), "want one of order"},
+		{"U singular", nil, edit(elemLU, map[int]float64{diag(0): 0}), "zero on U's diagonal"},
+		{"local total shape", func(s *ARD) { s.rk[0].localTotalS = mat.New(2*m, m) }, nil, "section of"},
+		{"local total missing", func(s *ARD) { s.rk[0].localTotalS = nil }, nil, "section of 0 words"},
+		{"round snapshot shape", func(s *ARD) { s.rk[1].rounds[0].accS = mat.New(m, m) }, nil, "section of"},
+		{"prefix shape", func(s *ARD) { s.rk[1].piS = mat.New(2*m, 2*m-1) }, nil, "section of"},
+		{"round count", func(s *ARD) { s.rk[0].rounds = append(s.rk[0].rounds, s.rk[0].rounds[0]) }, nil, "scan rounds"},
+		{"round distance", func(s *ARD) { s.rk[0].rounds[0].dist = 2 }, nil, "distance"},
+		{"identity snapshot present", func(s *ARD) { s.rk[1].rounds[0].preS = mat.New(2*m, 2*m) }, nil, "has the identity"},
+		{"identity prefix present", func(s *ARD) { s.rk[0].piS = mat.New(2*m, 2*m) }, nil, "has the identity"},
+		{"scan-round code 2", nil, scanWord, "scan-round code 2"},
+		{"reduced system order", func(s *ARD) { s.luRm = identityLU(m + 1) }, nil, "want one of order"},
+		{"reduced system singular", nil, edit(reducedLU, map[int]float64{diag(m - 1): 0}), "zero on U's diagonal"},
 		// The first element's T header rewritten from 8x8 to 1x64, which
 		// keeps the section length.
-		{"transfer header 8x8 to 1x64", prefix.KoggeStone, nil, edit(transfer[0], map[int]float64{0: 1, 1: float64(4 * m * m)}), "section is 1x64"},
+		{"transfer header 8x8 to 1x64", nil, edit(transfer[0], map[int]float64{0: 1, 1: float64(4 * m * m)}), "section is 1x64"},
 	} {
 		data := tc.data
 		if tc.tamper != nil {
-			data = savedTampered(t, a, p, tc.sched, tc.tamper)
+			data = savedTampered(t, a, p, tc.tamper)
 		}
 		func() {
 			defer func() {
@@ -371,25 +342,26 @@ func TestLoadFactorRejectsMisshapenSections(t *testing.T) {
 // TestSaveFactorBytesStable pins SaveFactor's output: the file holds each
 // element's whole transfer matrix and U's LU factors, rebuilt from the
 // matrix, so a change to what an element keeps must not change a byte of
-// it. The hashes were taken when elements still kept T's top half and U's
-// LU, one per kernel path (the FMA and portable kernels round
-// differently). M=5 keeps [TL TR] as a pack on the FMA kernels and U^{-1}
-// unpacked; M=16 keeps both as packs.
+// it. The hashes are one per kernel path (the FMA and portable kernels
+// round differently). The M=5 pair was taken when elements still kept T's
+// top half and U's LU; the M=16 pair was taken before Kogge-Stone became
+// the only cross-rank scan, so both pin the bytes of the earlier format.
+// M=5 keeps [TL TR] as a pack on the FMA kernels and U^{-1} unpacked;
+// M=16 keeps both as packs.
 func TestSaveFactorBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		n, m, p       int
-		sched         prefix.Schedule
 		fma, portable string
 	}{
-		{12, 5, 3, prefix.KoggeStone,
+		{12, 5, 3,
 			"fa595f52d4c167901ae1aef02274c57093270114b52b5cf37b4bfb73ca8ad440",
 			"d498a1d6aba8d98a0526c2ed81d1de2cb6296afd932d5404b082f0c0cd179f15"},
-		{9, 16, 2, prefix.Chain,
-			"2af6a4e4ecf4fbd9cbc584cef867dd6bec66e84e9fee25c488d42c407edea899",
-			"692ab6417d087aec84d975a89b52f08e253ead1c875c651027db6bf99d5c004e"},
+		{9, 16, 2,
+			"4640978aed60cc4aecbbccced63030df076790f7e6cd4120665f2f51040f054b",
+			"969ed15c93560249554f32e3474f5cc53f3596e3861693f6eb59d848219e4857"},
 	} {
 		a := blocktri.RandomDiagDominant(tc.n, tc.m, rand.New(rand.NewSource(int64(tc.m))))
-		s := NewARD(a, Config{World: comm.NewWorld(tc.p), Schedule: tc.sched})
+		s := NewARD(a, Config{World: comm.NewWorld(tc.p)})
 		h := sha256.New()
 		if _, err := s.SaveFactor(h); err != nil {
 			t.Fatal(err)
@@ -417,17 +389,14 @@ func FuzzLoadFactor(f *testing.F) {
 	}
 	rng := rand.New(rand.NewSource(407))
 	var systems []system
-	for _, c := range []struct {
-		n, m, p int
-		sched   prefix.Schedule
-	}{
-		{8, 4, 2, prefix.KoggeStone}, {13, 3, 5, prefix.KoggeStone}, {6, 2, 3, prefix.Chain}, {1, 3, 1, prefix.KoggeStone},
+	for _, c := range []struct{ n, m, p int }{
+		{8, 4, 2}, {13, 3, 5}, {6, 2, 3}, {1, 3, 1},
 		// Block sizes whose element operands are both kept as standalone
 		// packs on the FMA kernels, which the seeds above never reach.
-		{6, 8, 3, prefix.KoggeStone}, {5, 16, 2, prefix.Chain},
+		{6, 8, 3}, {5, 16, 2},
 	} {
 		a := blocktri.Oscillatory(c.n, c.m, rng)
-		s := NewARD(a, Config{World: comm.NewWorld(c.p), Schedule: c.sched})
+		s := NewARD(a, Config{World: comm.NewWorld(c.p)})
 		var buf bytes.Buffer
 		if _, err := s.SaveFactor(&buf); err != nil {
 			f.Fatal(err)

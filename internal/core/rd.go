@@ -4,7 +4,6 @@ import (
 	"blocktri/internal/blocktri"
 	"blocktri/internal/comm"
 	"blocktri/internal/mat"
-	"blocktri/internal/prefix"
 )
 
 // Message tags used by the solvers (user range, below the collectives'
@@ -15,16 +14,12 @@ const (
 	tagARDSolveScan
 )
 
-// Config carries the distributed-execution settings shared by RD and ARD.
+// Config carries the distributed-execution settings shared by the
+// distributed solvers.
 type Config struct {
 	// World is the communicator to run on; nil means a fresh single-rank
 	// world (sequential execution through the same code path).
 	World *comm.World
-	// Schedule selects the cross-rank scan algorithm (default KoggeStone,
-	// the recursive doubling schedule). RD supports all schedules; ARD
-	// supports KoggeStone and Chain (its solve phase replays the factor
-	// phase's schedule, and Brent-Kung's down-sweep is not replayable).
-	Schedule prefix.Schedule
 }
 
 func (cfg Config) world() *comm.World {
@@ -42,13 +37,12 @@ func (cfg Config) world() *comm.World {
 // counts no work.
 type RD struct {
 	base
-	sched  prefix.Schedule
 	growth float64 // prefix growth of the solve in flight, set by the last rank
 }
 
 // NewRD returns a recursive doubling solver for a over cfg's world.
 func NewRD(a *blocktri.Matrix, cfg Config) *RD {
-	rd := &RD{sched: cfg.Schedule}
+	rd := &RD{}
 	rd.init(a, cfg.world(), rd)
 	return rd
 }
@@ -134,15 +128,28 @@ func (rd *RD) solveRank(c *comm.Comm, x, b *mat.Matrix) (int64, error) {
 		return fc.n, buildErr
 	}
 
-	// Phase 2: cross-rank exclusive scan — the O(M^3 log P) term.
-	countingOp := func(earlier, later Affine) Affine {
+	// Phase 2: cross-rank exclusive scan by recursive doubling — the
+	// O(M^3 log P) term. In round k every rank sends its running aggregate
+	// acc 2^k ranks up and folds the one received from 2^k ranks down into
+	// both acc and its exclusive prefix pi; ARD's factor phase runs the
+	// same butterfly on S alone and its solve phase replays it on H.
+	compose := func(earlier, later Affine) Affine {
 		if !earlier.IsIdentity() && !later.IsIdentity() {
 			fc.add(gemmFlops(2*m, 2*m, 2*m) + gemmFlops(2*m, 2*m, rhs) + addFlops(2*m, rhs))
 		}
 		return ComposeAffine(earlier, later)
 	}
-	codec := prefix.Codec[Affine]{Encode: encodeAffine, Decode: decodeAffine}
-	pi, _ := prefix.ExScanRanks(c, localTotal, countingOp, codec, rd.sched, tagRDScan)
+	acc, pi := localTotal, Affine{}
+	for dist := 1; dist < p; dist <<= 1 {
+		if r+dist < p {
+			c.Send(r+dist, tagRDScan, encodeAffine(acc))
+		}
+		if r-dist >= 0 {
+			recv := decodeAffine(c.Recv(r-dist, tagRDScan))
+			pi = compose(recv, pi)
+			acc = compose(recv, acc)
+		}
+	}
 
 	// Phase 3: reduced system for x_0 on the last rank, then broadcast.
 	// Every rank checks out the x0 buffer so the broadcast decodes in place.

@@ -148,8 +148,8 @@ func elemsPerRank(n, p int) []int {
 	return out
 }
 
-// RDSolve predicts the cost of one classic recursive doubling solve with
-// the Kogge-Stone schedule, mirroring core.RD's instrumentation exactly.
+// RDSolve predicts the cost of one classic recursive doubling solve, its
+// Kogge-Stone rounds included, mirroring core.RD's instrumentation exactly.
 func RDSolve(p Params) Cost {
 	n, m, r, pr := p.N, p.M, p.R, p.P
 	if n == 1 {

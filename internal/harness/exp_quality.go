@@ -7,18 +7,17 @@ import (
 	"blocktri/internal/comm"
 	"blocktri/internal/core"
 	"blocktri/internal/costmodel"
-	"blocktri/internal/prefix"
 	"blocktri/internal/workload"
 )
 
-// Experiments E6-E10: accuracy, communication, amortization, scan-schedule
-// ablation and model validation.
+// Experiments E6-E10: accuracy, communication, amortization, the Thomas
+// crossover and model validation.
 
 func init() {
 	Register(Experiment{ID: "E6", Title: "Accuracy: relative residuals per solver and family", Run: runE6})
 	Register(Experiment{ID: "E7", Title: "Communication volume per solve: RD vs ARD", Run: runE7})
 	Register(Experiment{ID: "E8", Title: "ARD phase breakdown and amortization crossover", Run: runE8})
-	Register(Experiment{ID: "E9", Title: "Ablation: scan schedule and Thomas crossover", Run: runE9})
+	Register(Experiment{ID: "E9", Title: "Thomas crossover: modeled critical path", Run: runE9})
 	Register(Experiment{ID: "E10", Title: "Model validation: measured vs analytic", Run: runE10})
 }
 
@@ -127,56 +126,27 @@ func runE8(quick bool) ([]*Table, error) {
 func runE9(quick bool) ([]*Table, error) {
 	defer serialKernels()()
 	n, m := 1024, 8
-	ps := []int{4, 8, 16, 32}
-	reps := 2
 	if quick {
 		n = 128
-		ps = []int{4, 8}
 	}
-	t := NewTable(fmt.Sprintf("E9: RD scan-schedule ablation (oscillatory N=%d M=%d, R=1)", n, m),
-		"P", "kogge-stone", "brent-kung", "chain", "KS rounds", "BK rounds", "chain rounds")
-	t.Note = "wall times on one host; the rounds columns give each schedule's latency term on a real network (chain = P-1 rounds is the non-parallel baseline)"
-	for _, p := range ps {
-		a := workload.Build(workload.Oscillatory, n, m, 11)
-		b := a.RandomRHS(1, randFor(12))
-		row := []any{p}
-		for _, sched := range []prefix.Schedule{prefix.KoggeStone, prefix.BrentKung, prefix.Chain} {
-			rd := core.NewRD(a, core.Config{World: comm.NewWorld(p), Schedule: sched})
-			d, err := MeasureErr(1, reps, func() error {
-				_, err := rd.Solve(b)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("schedule %v P=%d: %w", sched, p, err)
-			}
-			row = append(row, d)
-		}
-		row = append(row, prefix.Rounds(prefix.KoggeStone, p),
-			prefix.Rounds(prefix.BrentKung, p), prefix.Rounds(prefix.Chain, p))
-		t.AddRow(row...)
-	}
-
-	// Thomas crossover: sequential Thomas vs the distributed algorithms'
-	// modeled critical path.
-	n2 := n
-	machine, err := calibratedMachine(n2, m)
+	machine, err := calibratedMachine(n, m)
 	if err != nil {
 		return nil, err
 	}
-	cross := NewTable(fmt.Sprintf("E9b: Thomas vs RD/ARD modeled critical path (N=%d M=%d, R=1)", n2, m),
+	t := NewTable(fmt.Sprintf("E9: Thomas vs RD/ARD modeled critical path (N=%d M=%d, R=1)", n, m),
 		"P", "Thomas (P=1)", "RD model", "ARD-solve model")
 	for _, p := range []int{1, 2, 4, 8, 16, 32, 64} {
-		prm := costmodel.Params{N: n2, M: m, P: p, R: 1}
+		prm := costmodel.Params{N: n, M: m, P: p, R: 1}
 		thomas := machine.Time(costmodel.Cost{
 			MaxRankFlops: costmodel.ThomasSolve(prm).MaxRankFlops +
 				costmodel.ThomasFactor(prm).MaxRankFlops})
-		cross.AddRow(p,
+		t.AddRow(p,
 			time.Duration(thomas*1e9),
 			time.Duration(machine.Time(costmodel.RDSolve(prm))*1e9),
 			time.Duration(machine.Time(costmodel.ARDSolve(prm))*1e9))
 	}
-	cross.Note = "the distributed algorithms overtake single-rank Thomas once P covers the ~8x transfer-matrix work overhead"
-	return []*Table{t, cross}, nil
+	t.Note = "the distributed algorithms overtake single-rank Thomas once P covers their transfer-matrix work overhead"
+	return []*Table{t}, nil
 }
 
 func runE10(quick bool) ([]*Table, error) {

@@ -13,29 +13,12 @@ import (
 	"time"
 )
 
-// Measure times f: it runs warmup untimed iterations, then reps timed
+// MeasureErr times f: it runs warmup untimed iterations, then reps timed
 // ones, and returns the minimum duration (the standard noise-robust
-// estimator for repeatable kernels).
-func Measure(warmup, reps int, f func()) time.Duration {
-	for i := 0; i < warmup; i++ {
-		f()
-	}
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		d := time.Since(start)
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// MeasureErr is Measure for operations that can fail: warmup and timed
-// iterations run f, and the first error aborts the measurement. A solver
-// that rejects its input (ErrSingular, a shape mismatch) reports that up
-// through the experiment instead of taking the process down mid-suite.
+// estimator for repeatable kernels). The first error f returns aborts the
+// measurement, so a solver that rejects its input (ErrSingular, a shape
+// mismatch) reports that up through the experiment instead of taking the
+// process down mid-suite.
 func MeasureErr(warmup, reps int, f func() error) (time.Duration, error) {
 	for i := 0; i < warmup; i++ {
 		if err := f(); err != nil {
@@ -55,21 +38,6 @@ func MeasureErr(warmup, reps int, f func() error) (time.Duration, error) {
 		}
 	}
 	return best, nil
-}
-
-// MeasureMean is Measure with a mean estimator, for operations whose cost
-// varies with call history (e.g. allocation-heavy phases).
-func MeasureMean(warmup, reps int, f func()) time.Duration {
-	for i := 0; i < warmup; i++ {
-		f()
-	}
-	var total time.Duration
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		total += time.Since(start)
-	}
-	return total / time.Duration(reps)
 }
 
 // Table accumulates rows for one experiment and renders them as an aligned

@@ -82,21 +82,6 @@ func TestDurationFormatting(t *testing.T) {
 	}
 }
 
-func TestMeasureReturnsPositive(t *testing.T) {
-	n := 0
-	d := Measure(1, 3, func() { n++ })
-	if d < 0 {
-		t.Fatal("negative duration")
-	}
-	if n != 4 {
-		t.Fatalf("expected 1 warmup + 3 reps = 4 calls, got %d", n)
-	}
-	d2 := MeasureMean(0, 2, func() { time.Sleep(time.Millisecond) })
-	if d2 < time.Millisecond/2 {
-		t.Fatalf("mean measurement implausibly small: %v", d2)
-	}
-}
-
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}
 	exps := Experiments()

@@ -477,9 +477,6 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// FactorResident reports whether key's factorization is cached and ready.
-func (s *Server) FactorResident(key string) bool { return s.cache.contains(key) }
-
 func (s *Server) noteDequeued() {
 	s.mu.Lock()
 	s.queued--

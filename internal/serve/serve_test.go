@@ -451,7 +451,7 @@ func TestBoostedDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.FactorResident(key) {
+	if srv.cache.contains(key) {
 		t.Fatal("a factorization that failed must not be cached")
 	}
 	if st := srv.Stats(); st.Boosted != 1 {

@@ -12,8 +12,10 @@ go test ./...
 go test -race ./...
 # The portable kernels are the only ones on hosts without AVX-512, and the
 # FMA kernels diverge from them in arithmetic: run the dense substrate and
-# its solver and service layers on the portable path too.
-BLOCKTRI_NOAVX512=1 go test ./internal/mat ./internal/core ./internal/serve
+# its solver and service layers on the portable path too. -count=1 because
+# the kernel choice is read at package init, before the test cache records
+# environment reads: a cached run would replay the FMA results above.
+BLOCKTRI_NOAVX512=1 go test -count=1 ./internal/mat ./internal/core ./internal/serve
 # Factor files are untrusted input: fuzz LoadFactor for a fixed 10 s,
 # seeded with genuine factor files (FuzzLoadFactor). It must reject or
 # load every input, never panic, and whatever it loads must solve.
