@@ -66,13 +66,6 @@ func BenchmarkKernelLU(b *testing.B) {
 	}
 }
 
-// quietKernels disables nested GEMM parallelism during benchmarks.
-func quietKernels() func() {
-	old := mat.ParallelEnabled()
-	mat.SetParallel(false)
-	return func() { mat.SetParallel(old) }
-}
-
 // Guard: the benchmark workload must be numerically sane, otherwise the
 // timings would measure Inf/NaN propagation instead of real arithmetic.
 func TestBenchmarkWorkloadSanity(t *testing.T) {
@@ -99,7 +92,6 @@ func TestBenchmarkWorkloadSanity(t *testing.T) {
 //
 // After the warm-up solve the path performs zero heap allocations per op.
 func BenchmarkARDSolve(b *testing.B) {
-	defer quietKernels()()
 	a := benchMatrix(512, 16)
 	for _, c := range []struct {
 		name string

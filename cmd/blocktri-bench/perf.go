@@ -303,13 +303,6 @@ var perfSuites = []struct {
 // comma-separated subset of suite names to run; unknown names are an error
 // so a typo cannot silently skip a gate.
 func runPerf(mode, dir, suites string) int {
-	// Parallel GEMM fan-out on a loaded CI machine adds noise without
-	// changing what the gate protects (the serial kernels and the arena
-	// discipline), so the harness pins it off, like the Benchmark* suite.
-	prev := mat.ParallelEnabled()
-	mat.SetParallel(false)
-	defer mat.SetParallel(prev)
-
 	switch mode {
 	case "baseline", "compare":
 	default:

@@ -27,7 +27,9 @@ type matrixJSON struct {
 	Upper [][]float64 `json:"upper"`
 }
 
-// toMatrix validates and converts the wire form.
+// toMatrix validates and converts the wire form. It checks every band
+// and block length before it allocates, so the matrix it builds holds
+// exactly the values the body carried.
 func (mj *matrixJSON) toMatrix() (*blocktri.Matrix, error) {
 	if mj.N < 1 || mj.M < 1 {
 		return nil, fmt.Errorf("invalid dimensions n=%d m=%d", mj.N, mj.M)
@@ -36,27 +38,25 @@ func (mj *matrixJSON) toMatrix() (*blocktri.Matrix, error) {
 		return nil, fmt.Errorf("band lengths diag=%d lower=%d upper=%d, want %d/%d/%d",
 			len(mj.Diag), len(mj.Lower), len(mj.Upper), mj.N, mj.N-1, mj.N-1)
 	}
-	a := blocktri.New(mj.N, mj.M)
-	fill := func(dst *mat.Matrix, src []float64, band string, i int) error {
-		if len(src) != mj.M*mj.M {
-			return fmt.Errorf("%s block %d has %d entries, want %d", band, i, len(src), mj.M*mj.M)
-		}
-		copy(dst.Data, src)
-		return nil
-	}
-	for i := 0; i < mj.N; i++ {
-		if err := fill(a.Diag[i], mj.Diag[i], "diag", i); err != nil {
-			return nil, err
-		}
-		if i > 0 {
-			if err := fill(a.Lower[i], mj.Lower[i-1], "lower", i-1); err != nil {
-				return nil, err
+	for _, band := range []struct {
+		name   string
+		blocks [][]float64
+	}{{"lower", mj.Lower}, {"diag", mj.Diag}, {"upper", mj.Upper}} {
+		for i, src := range band.blocks {
+			// len(src) == M*M, without forming M*M.
+			if len(src)%mj.M != 0 || len(src)/mj.M != mj.M {
+				return nil, fmt.Errorf("%s block %d has %d entries, want m*m for m=%d", band.name, i, len(src), mj.M)
 			}
+		}
+	}
+	a := blocktri.New(mj.N, mj.M)
+	for i := 0; i < mj.N; i++ {
+		copy(a.Diag[i].Data, mj.Diag[i])
+		if i > 0 {
+			copy(a.Lower[i].Data, mj.Lower[i-1])
 		}
 		if i < mj.N-1 {
-			if err := fill(a.Upper[i], mj.Upper[i], "upper", i); err != nil {
-				return nil, err
-			}
+			copy(a.Upper[i].Data, mj.Upper[i])
 		}
 	}
 	if err := a.Validate(); err != nil {
@@ -136,13 +136,15 @@ func (h *handler) solve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rows := len(req.B[0])
-	b := mat.New(rows, len(req.B))
 	for j, col := range req.B {
 		if len(col) != rows {
 			writeJSONError(w, http.StatusBadRequest,
 				fmt.Errorf("b column %d has %d rows, want %d", j, len(col), rows))
 			return
 		}
+	}
+	b := mat.New(rows, len(req.B))
+	for j, col := range req.B {
 		for i, v := range col {
 			b.Data[i*b.Stride+j] = v
 		}

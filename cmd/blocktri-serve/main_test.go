@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,6 +33,50 @@ func toWire(a *blocktri.Matrix) *matrixJSON {
 		}
 	}
 	return mj
+}
+
+// overflowBody registers one block of m = 2^32: m*m wraps to 0 in an int,
+// so its empty block once passed the length check and the handler
+// panicked on the wrapped shape.
+const overflowBody = `{"n":1,"m":4294967296,"diag":[[]],"lower":[],"upper":[]}`
+
+// FuzzMatrixJSON decodes arbitrary bodies as the register handler does and
+// converts them. It must never panic, and any matrix it builds must
+// validate and hold no more values than the body has bytes.
+func FuzzMatrixJSON(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for _, a := range []*blocktri.Matrix{blocktri.RandomDiagDominant(3, 2, rng), blocktri.RandomDiagDominant(1, 1, rng)} {
+		body, err := json.Marshal(toWire(a))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(overflowBody))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var mj matrixJSON
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&mj) != nil {
+			return
+		}
+		a, err := mj.toMatrix()
+		if err != nil {
+			return
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("toMatrix built an invalid matrix: %v", err)
+		}
+		values := 0.0 // in float64, so a shape whose area wraps cannot count as small
+		for _, band := range [][]*mat.Matrix{a.Lower, a.Diag, a.Upper} {
+			for _, b := range band {
+				if b != nil {
+					values += float64(b.Rows) * float64(b.Cols)
+				}
+			}
+		}
+		if values > float64(len(body)) {
+			t.Fatalf("a %d-byte body built a matrix of %g values", len(body), values)
+		}
+	})
 }
 
 func newTestServer(t *testing.T) (*httptest.Server, *serve.Server) {
@@ -166,6 +211,16 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("malformed JSON: status %d, want 400", mresp.StatusCode)
 	}
 	mresp.Body.Close()
+
+	// A block size whose square overflows -> 400.
+	oresp, err := http.Post(ts.URL+"/v1/matrices/x", "application/json", strings.NewReader(overflowBody))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	if oresp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing block size: status %d, want 400", oresp.StatusCode)
+	}
+	oresp.Body.Close()
 
 	// Ragged matrix blocks -> 400.
 	resp = postJSON(t, ts.URL+"/v1/matrices/bad", &matrixJSON{

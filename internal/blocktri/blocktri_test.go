@@ -2,6 +2,9 @@ package blocktri
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -292,6 +295,15 @@ func TestReadRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()-4])); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+	// A bare 24-byte header asking for one 2^24 x 2^24 block, within the
+	// dimension limit: Read must fail on the missing data, not allocate
+	// for the promised block.
+	hdr := binary.LittleEndian.AppendUint64(nil, magic)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1<<24)
+	if _, err := Read(bytes.NewReader(hdr)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header-only input: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

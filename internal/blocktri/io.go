@@ -2,6 +2,7 @@ package blocktri
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -51,7 +52,10 @@ func (a *Matrix) WriteTo(w io.Writer) (int64, error) {
 	return total, bw.Flush()
 }
 
-// Read deserializes a matrix previously written with WriteTo.
+// Read deserializes a matrix previously written with WriteTo. The header
+// only bounds the dimensions: Read grows the matrix block by block as the
+// data arrives, so an input that promises more than it holds costs memory
+// in proportion to what it holds, and ends in an error.
 func Read(r io.Reader) (*Matrix, error) {
 	br := bufio.NewReader(r)
 	readU64 := func() (uint64, error) {
@@ -80,33 +84,41 @@ func Read(r io.Reader) (*Matrix, error) {
 	if n64 == 0 || m64 == 0 || n64 > maxDim || m64 > maxDim {
 		return nil, fmt.Errorf("blocktri: implausible dimensions N=%d M=%d", n64, m64)
 	}
-	a := New(int(n64), int(m64))
-	readBlock := func(b *mat.Matrix) error {
-		for i := 0; i < b.Rows; i++ {
-			for j := 0; j < b.Cols; j++ {
-				v, err := readU64()
-				if err != nil {
-					return err
-				}
-				b.Set(i, j, math.Float64frombits(v))
+	n, m := int(n64), int(m64)
+	var raw bytes.Buffer // one block's bytes, grown as they arrive
+	block := func(i int) (*mat.Matrix, error) {
+		raw.Reset()
+		if _, err := io.CopyN(&raw, br, int64(8*m*m)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
+			return nil, fmt.Errorf("blocktri: block row %d: %w", i, err)
 		}
-		return nil
+		b, src := mat.New(m, m), raw.Bytes()
+		for k := range b.Data {
+			b.Data[k] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*k:]))
+		}
+		return b, nil
 	}
-	for i := 0; i < a.N; i++ {
+	a := &Matrix{N: n, M: m}
+	for i := 0; i < n; i++ {
+		var lo, d, up *mat.Matrix
 		if i > 0 {
-			if err := readBlock(a.Lower[i]); err != nil {
+			if lo, err = block(i); err != nil {
 				return nil, err
 			}
 		}
-		if err := readBlock(a.Diag[i]); err != nil {
+		if d, err = block(i); err != nil {
 			return nil, err
 		}
-		if i < a.N-1 {
-			if err := readBlock(a.Upper[i]); err != nil {
+		if i < n-1 {
+			if up, err = block(i); err != nil {
 				return nil, err
 			}
 		}
+		a.Lower = append(a.Lower, lo)
+		a.Diag = append(a.Diag, d)
+		a.Upper = append(a.Upper, up)
 	}
 	return a, nil
 }

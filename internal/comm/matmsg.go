@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 
 	"blocktri/internal/mat"
 )
@@ -27,16 +28,52 @@ func EncodeMatrix(m *mat.Matrix) []float64 {
 	return out
 }
 
+// MatrixHeader checks the [rows, cols] header of p, a payload that holds
+// exactly one matrix, and returns the dimensions. Malformed input is an
+// error wrapping ErrMalformedPayload.
+func MatrixHeader(p []float64) (rows, cols int, err error) {
+	rows, cols, err = headerPrefix(p)
+	if err == nil && len(p) != 2+rows*cols {
+		err = fmt.Errorf("matrix payload: header says %dx%d, body has %d floats: %w",
+			rows, cols, len(p)-2, ErrMalformedPayload)
+	}
+	return rows, cols, err
+}
+
+// headerPrefix checks the header of the matrix payload that starts p,
+// which may run on past it, as each part of an EncodeMatrices payload
+// does. Each dimension word must be an integer in [0, len(p)], and the
+// rows*cols values must fit in p, compared without overflow. The bound on
+// each word keeps what a decoded matrix can cost, an empty one included,
+// within the size of its payload.
+func headerPrefix(p []float64) (rows, cols int, err error) {
+	if len(p) < 2 {
+		return 0, 0, fmt.Errorf("matrix payload of %d floats has no header: %w", len(p), ErrMalformedPayload)
+	}
+	rows, okR := sizeWord(p[0], len(p))
+	cols, okC := sizeWord(p[1], len(p))
+	if !okR || !okC || cols != 0 && rows > (len(p)-2)/cols {
+		return 0, 0, fmt.Errorf("matrix payload: header says %vx%v, body has %d floats: %w",
+			p[0], p[1], len(p)-2, ErrMalformedPayload)
+	}
+	return rows, cols, nil
+}
+
+// sizeWord converts a payload's dimension or count word w to an int,
+// reporting whether w is an integer in [0, limit].
+func sizeWord(w float64, limit int) (int, bool) {
+	if _, frac := math.Modf(w); w < 0 || w > float64(limit) || frac != 0 { // NaN has a NaN frac
+		return 0, false
+	}
+	return int(w), true
+}
+
 // TryDecodeMatrix reconstructs a matrix from an EncodeMatrix payload,
 // reporting malformed input as an error wrapping ErrMalformedPayload.
 func TryDecodeMatrix(p []float64) (*mat.Matrix, error) {
-	if len(p) < 2 {
-		return nil, fmt.Errorf("matrix payload of %d floats has no header: %w", len(p), ErrMalformedPayload)
-	}
-	r, c := int(p[0]), int(p[1])
-	if r < 0 || c < 0 || len(p) != 2+r*c {
-		return nil, fmt.Errorf("matrix payload: header says %dx%d, body has %d floats: %w",
-			r, c, len(p)-2, ErrMalformedPayload)
+	r, c, err := MatrixHeader(p)
+	if err != nil {
+		return nil, err
 	}
 	return mat.NewFromSlice(r, c, p[2:]), nil
 }
@@ -73,25 +110,20 @@ func TryDecodeMatrices(p []float64) ([]*mat.Matrix, error) {
 	if len(p) < 1 {
 		return nil, fmt.Errorf("empty multi-matrix payload: %w", ErrMalformedPayload)
 	}
-	n := int(p[0])
-	if n < 0 {
-		return nil, fmt.Errorf("multi-matrix payload: negative count %d: %w", n, ErrMalformedPayload)
+	// Every part carries at least its two header words.
+	n, ok := sizeWord(p[0], (len(p)-1)/2)
+	if !ok {
+		return nil, fmt.Errorf("multi-matrix payload: count %v with %d floats after it: %w",
+			p[0], len(p)-1, ErrMalformedPayload)
 	}
 	out := make([]*mat.Matrix, 0, n)
 	k := 1
 	for i := 0; i < n; i++ {
-		if len(p) < k+2 {
-			return nil, fmt.Errorf("multi-matrix payload: part %d of %d truncated: %w", i, n, ErrMalformedPayload)
-		}
-		r, c := int(p[k]), int(p[k+1])
-		if r < 0 || c < 0 || len(p) < k+2+r*c {
-			return nil, fmt.Errorf("multi-matrix payload: part %d of %d truncated: %w", i, n, ErrMalformedPayload)
-		}
-		m, err := TryDecodeMatrix(p[k : k+2+r*c])
+		r, c, err := headerPrefix(p[k:])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("multi-matrix payload: part %d of %d: %w", i, n, err)
 		}
-		out = append(out, m)
+		out = append(out, mat.NewFromSlice(r, c, p[k+2:k+2+r*c]))
 		k += 2 + r*c
 	}
 	if k != len(p) {
@@ -114,13 +146,9 @@ func DecodeMatrices(p []float64) []*mat.Matrix {
 // already have the encoded shape. Unlike TryDecodeMatrix it allocates
 // nothing, so the caller may Release the payload afterwards.
 func TryDecodeMatrixInto(dst *mat.Matrix, p []float64) error {
-	if len(p) < 2 {
-		return fmt.Errorf("matrix payload of %d floats has no header: %w", len(p), ErrMalformedPayload)
-	}
-	r, c := int(p[0]), int(p[1])
-	if r < 0 || c < 0 || len(p) != 2+r*c {
-		return fmt.Errorf("matrix payload: header says %dx%d, body has %d floats: %w",
-			r, c, len(p)-2, ErrMalformedPayload)
+	r, c, err := MatrixHeader(p)
+	if err != nil {
+		return err
 	}
 	if dst.Rows != r || dst.Cols != c {
 		return fmt.Errorf("decode into %dx%d matrix from %dx%d payload: %w",

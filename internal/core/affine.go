@@ -161,14 +161,9 @@ func decodeHMatWS(ws *mat.Workspace, p []float64) *mat.Matrix {
 	if p[0] == 0 {
 		return nil
 	}
-	if len(p) < 3 {
-		comm.Throw(fmt.Errorf("core: H payload of %d floats has no header: %w",
-			len(p), comm.ErrMalformedPayload))
-	}
-	r, c := int(p[1]), int(p[2])
-	if r < 0 || c < 0 || len(p) != 3+r*c {
-		comm.Throw(fmt.Errorf("core: H payload header says %dx%d, body has %d floats: %w",
-			r, c, len(p)-3, comm.ErrMalformedPayload))
+	r, c, err := comm.MatrixHeader(p[1:])
+	if err != nil {
+		comm.Throw(fmt.Errorf("core: H payload: %w", err))
 	}
 	h := ws.GetNoClear(r, c)
 	copy(h.Data, p[3:])

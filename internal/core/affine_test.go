@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"blocktri/internal/comm"
 	"blocktri/internal/mat"
 )
 
@@ -92,5 +94,35 @@ func TestAffineCodecRoundTrip(t *testing.T) {
 	s := mat.Random(4, 4, rng)
 	if !decodeSMat(encodeSMat(s)).Equal(s) {
 		t.Fatal("S codec round trip failed")
+	}
+}
+
+// The H decoder of every ARD solve round shares comm's header check: a
+// dimension word that is not a non-negative integer, or an area that
+// wraps around, is a malformed payload, never a truncated or wrapped
+// shape.
+func TestDecodeHMatRejectsMalformedHeaders(t *testing.T) {
+	w := comm.NewWorld(1)
+	defer w.Close()
+	ws := mat.NewWorkspace()
+	for _, p := range [][]float64{
+		{1, 2.5, 1, 7, 8},     // 2.5 rows
+		{1, -0.5, 0},          // a fraction that truncates to 0
+		{1, 1 << 32, 1 << 32}, // 2^64 wraps to 0 values
+		{1, 2, 2, 1, 2, 3},    // one value short
+		{1, 1, 1, 1, 2},       // one value over
+	} {
+		err := w.Run(func(*comm.Comm) { decodeHMatWS(ws, p) })
+		if !errors.Is(err, comm.ErrMalformedPayload) {
+			t.Errorf("decodeHMatWS(%v): err = %v, want ErrMalformedPayload", p, err)
+		}
+	}
+	err := w.Run(func(*comm.Comm) {
+		if h := decodeHMatWS(ws, []float64{1, 1, 2, 7, 8}); h.Rows != 1 || h.Cols != 2 || h.At(0, 1) != 8 {
+			t.Errorf("decodeHMatWS decoded %v, want [7 8]", h)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

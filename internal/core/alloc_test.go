@@ -18,12 +18,6 @@ import (
 // while measuring; the comm runtime's persistent rank workers still make
 // progress because every blocking point yields.)
 func TestARDSolveToAllocationFree(t *testing.T) {
-	// Pin serial kernels: at R=256 the reduced-system products cross the
-	// parallel-dispatch threshold, and goroutine spawning allocates by
-	// design (TestGEMMParallelAllocationBounded covers that path).
-	prev := mat.ParallelEnabled()
-	defer mat.SetParallel(prev)
-	mat.SetParallel(false)
 	rng := rand.New(rand.NewSource(7))
 	a := blocktri.RandomDiagDominant(64, 8, rng)
 	for _, rhs := range []int{1, 4, 64, 256} {

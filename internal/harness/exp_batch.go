@@ -24,7 +24,6 @@ func init() {
 }
 
 func runE12(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, m, p := 256, 16, 8
 	widths := []int{1, 2, 4, 8, 16, 32}
 	reps := 3

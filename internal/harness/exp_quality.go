@@ -22,7 +22,6 @@ func init() {
 }
 
 func runE6(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	sizes := []struct{ n, m int }{{16, 4}, {64, 4}, {64, 8}}
 	if quick {
 		sizes = sizes[:2]
@@ -60,7 +59,6 @@ func runE6(quick bool) ([]*Table, error) {
 }
 
 func runE7(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, m := 1024, 16
 	ps := []int{2, 4, 8, 16, 32}
 	if quick {
@@ -90,7 +88,6 @@ func runE7(quick bool) ([]*Table, error) {
 }
 
 func runE8(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, m, p := 512, 16, 8
 	reps := 3
 	if quick {
@@ -124,7 +121,6 @@ func runE8(quick bool) ([]*Table, error) {
 }
 
 func runE9(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, m := 1024, 8
 	if quick {
 		n = 128
@@ -150,7 +146,6 @@ func runE9(quick bool) ([]*Table, error) {
 }
 
 func runE10(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	grid := []costmodel.Params{
 		{N: 128, M: 4, P: 4, R: 1}, {N: 128, M: 8, P: 8, R: 2},
 		{N: 256, M: 8, P: 4, R: 1}, {N: 512, M: 4, P: 16, R: 4},

@@ -26,7 +26,6 @@ func init() {
 }
 
 func runE1(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, m, p := 512, 16, 8
 	rs := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	reps := 3
@@ -104,7 +103,6 @@ func runE1(quick bool) ([]*Table, error) {
 }
 
 func runE2(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, p := 256, 8
 	ms := []int{4, 8, 16, 32}
 	rs := []int{1, 4, 16, 64, 256, 1024, 4096}
@@ -156,7 +154,6 @@ func runE2(quick bool) ([]*Table, error) {
 }
 
 func runE3(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, m := 2048, 8
 	ps := []int{1, 2, 4, 8, 16, 32, 64}
 	reps := 2
@@ -189,7 +186,6 @@ func runE3(quick bool) ([]*Table, error) {
 }
 
 func runE4(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	m, p := 8, 8
 	ns := []int{128, 256, 512, 1024, 2048, 4096}
 	reps := 2
@@ -223,7 +219,6 @@ func runE4(quick bool) ([]*Table, error) {
 }
 
 func runE5(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, p := 256, 8
 	ms := []int{2, 4, 8, 16, 32}
 	reps := 2

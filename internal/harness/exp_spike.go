@@ -19,7 +19,6 @@ func init() {
 }
 
 func runE11(quick bool) ([]*Table, error) {
-	defer serialKernels()()
 	n, m, p := 512, 16, 8
 	reps := 3
 	if quick {

@@ -11,15 +11,6 @@ import (
 	"blocktri/internal/mat"
 )
 
-// serialKernels disables nested GEMM parallelism for the duration of an
-// experiment so per-rank compute stays attributable to its rank; it
-// returns a restore function.
-func serialKernels() func() {
-	old := mat.ParallelEnabled()
-	mat.SetParallel(false)
-	return func() { mat.SetParallel(old) }
-}
-
 // timing is one solver's measured factor time and best per-solve time,
 // with the stats of each phase and the last solution.
 type timing struct {

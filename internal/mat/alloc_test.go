@@ -39,7 +39,7 @@ func TestLUSolveToAllocationFree(t *testing.T) {
 	}
 }
 
-// TestGEMMSerialAllocationFree pins both serial kernels: the small tiled
+// TestGEMMSerialAllocationFree pins both GEMM tiers: the small tiled
 // loop (portable kernels; the FMA kernels pack both sizes) and the packed
 // micro-kernel path (whose pack buffers come from the pool, so steady
 // state allocates nothing).
@@ -49,7 +49,7 @@ func TestGEMMSerialAllocationFree(t *testing.T) {
 		n    int
 	}{
 		{"tiled-16", 16},  // portable: below packThreshold, plain tiled loop
-		{"packed-48", 48}, // above packThreshold, below parallelThreshold
+		{"packed-48", 48}, // above packThreshold
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,25 +82,6 @@ func TestGEMVStridedAllocationFree(t *testing.T) {
 	}
 }
 
-// TestGEMMParallelAllocationBounded keeps the parallel path honest: it may
-// spawn goroutines (closure + stack bookkeeping) but must not scale
-// allocations with the operand size — the pack buffers are pooled.
-func TestGEMMParallelAllocationBounded(t *testing.T) {
-	prev := ParallelEnabled()
-	defer SetParallel(prev)
-	SetParallel(true)
-	n := 128 // above parallelThreshold
-	a := New(n, n)
-	b := New(n, n)
-	dst := New(n, n)
-	fillSeq(a, 0.5)
-	fillSeq(b, 0.25)
-	allocs := testing.AllocsPerRun(10, func() { Mul(dst, a, b) })
-	if allocs > 32 {
-		t.Errorf("parallel GEMM: %v allocs/op, want <= 32 (goroutine bookkeeping only)", allocs)
-	}
-}
-
 // TestMulAddPackedAllocationFree pins the panelized solve-phase contract:
 // with the A-panel packed once into a caller-provided arena slice and the
 // B-scratch supplied per call, MulAddPacked touches the heap zero times —
@@ -108,9 +89,6 @@ func TestGEMMParallelAllocationBounded(t *testing.T) {
 // narrow FMA kernel on B in place or, on the portable kernels, falls back
 // to the unpacked GEMM path.
 func TestMulAddPackedAllocationFree(t *testing.T) {
-	prev := ParallelEnabled()
-	defer SetParallel(prev)
-	SetParallel(false)
 	a := New(8, 16)
 	fillSeq(a, 0.5)
 	buf := make([]float64, PackALen(8, 16))

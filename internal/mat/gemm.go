@@ -1,20 +1,11 @@
 package mat
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // gemmBlock is the cache tile edge used by the small-size blocked kernel.
 // 64 float64 values per row segment keeps three tiles (~96 KiB) within
 // typical L2.
 const gemmBlock = 64
-
-// parallelThreshold is the minimum number of multiply-add operations
-// (m*n*k) before GEMM fans work out across goroutines. Below it the
-// goroutine overhead dominates any speedup.
-const parallelThreshold = 1 << 18
 
 // packThreshold is the minimum number of multiply-add operations before
 // the portable GEMM packs the operands into contiguous tiles for the 4x4
@@ -44,35 +35,17 @@ const (
 
 var panelW = microMR
 
-// parallelOn controls whether large GEMM calls split row bands across
-// goroutines. It is read by worker goroutines while benchmarks and the
-// harness toggle it, hence atomic. It defaults to true; benchmarks that pin
-// all parallelism in the communicator ranks disable it so that per-rank
-// compute costs stay attributable to the rank that performed them.
-var parallelOn atomic.Bool
-
 // fmaKernels selects the AVX-512 FMA kernels for products with k >= 8 and
 // for every LU substitution. init sets it together with the 8-wide panel
 // width, so the whole dense substrate switches vector ISA at once.
 var fmaKernels bool
 
 func init() {
-	parallelOn.Store(true)
 	if avx512Available() {
 		panelW = avxPanelW
 		fmaKernels = true
 	}
 }
-
-// SetParallel enables or disables the parallel row-band split for large
-// GEMM calls. Safe to call concurrently with running multiplications: the
-// split changes only how rows are scheduled, never the per-element
-// reduction order, so results are identical either way.
-func SetParallel(on bool) { parallelOn.Store(on) }
-
-// ParallelEnabled reports whether large GEMM calls currently fan out across
-// goroutines.
-func ParallelEnabled() bool { return parallelOn.Load() }
 
 // FMAKernels reports whether the AVX-512 FMA kernels are active. They carry
 // every product with k >= 8 and every LU solve, and give each column of a
@@ -178,22 +151,17 @@ func GEMM(alpha float64, a, b *Matrix, beta float64, dst *Matrix) {
 		gemv(alpha, a, b, dst)
 		return
 	}
-	ops := a.Rows * a.Cols * b.Cols
-	if ops >= parallelThreshold && parallelOn.Load() {
-		gemmParallel(alpha, a, b, dst)
-		return
-	}
 	if panelOK(a.Rows, a.Cols, b.Cols) {
 		pb := getPackBuf()
-		pb.b = ensureFloats(pb.b, packedBLen(b))
+		pb.b = ensureFloats(pb.b, PackBLen(b.Rows, b.Cols))
 		packB(b, pb.b)
-		pb.a = ensureFloats(pb.a, packedALen(a, 0, a.Rows))
-		packA(alpha, a, 0, a.Rows, pb.a)
-		gemmPacked(a.Cols, pb.a, pb.b, dst, 0, a.Rows)
+		pb.a = ensureFloats(pb.a, PackALen(a.Rows, a.Cols))
+		packA(alpha, a, pb.a)
+		gemmPacked(a.Cols, pb.a, pb.b, dst)
 		putPackBuf(pb)
 		return
 	}
-	gemmSerial(alpha, a, b, dst, 0, a.Rows)
+	gemmSerial(alpha, a, b, dst)
 }
 
 // gemmNarrow accumulates alpha*a*b into dst for b narrower than one panel
@@ -204,8 +172,8 @@ func GEMM(alpha float64, a, b *Matrix, beta float64, dst *Matrix) {
 func gemmNarrow(alpha float64, a, b, dst *Matrix) {
 	if alpha != 1 && alpha != -1 { //lint:ignore floateq +-1 are the exact sentinels a sign flip reproduces bit for bit
 		pb := getPackBuf()
-		pb.a = ensureFloats(pb.a, packedALen(a, 0, a.Rows))
-		packA(alpha, a, 0, a.Rows, pb.a)
+		pb.a = ensureFloats(pb.a, PackALen(a.Rows, a.Cols))
+		packA(alpha, a, pb.a)
 		mulNarrowPacked(a.Rows, a.Cols, pb.a, b, dst)
 		putPackBuf(pb)
 		return
@@ -291,13 +259,13 @@ func gemv(alpha float64, a, b, dst *Matrix) {
 	}
 }
 
-// gemmSerial accumulates alpha*a*b into dst for rows [r0, r1) of a/dst
-// using an i-k-j loop order with square tiling for cache locality. It is
-// the small-size kernel, where packing would cost more than it saves.
-func gemmSerial(alpha float64, a, b, dst *Matrix, r0, r1 int) {
-	n, k := b.Cols, a.Cols
-	for ii := r0; ii < r1; ii += gemmBlock {
-		iMax := min(ii+gemmBlock, r1)
+// gemmSerial accumulates alpha*a*b into dst using an i-k-j loop order
+// with square tiling for cache locality. It is the small-size kernel,
+// where packing would cost more than it saves.
+func gemmSerial(alpha float64, a, b, dst *Matrix) {
+	m, n, k := a.Rows, b.Cols, a.Cols
+	for ii := 0; ii < m; ii += gemmBlock {
+		iMax := min(ii+gemmBlock, m)
 		for kk := 0; kk < k; kk += gemmBlock {
 			kMax := min(kk+gemmBlock, k)
 			for jj := 0; jj < n; jj += gemmBlock {
@@ -321,41 +289,21 @@ func gemmSerial(alpha float64, a, b, dst *Matrix, r0, r1 int) {
 	}
 }
 
-// packedALen returns the packed size of rows [r0, r1) of a: full panelW
-// row panels (zero padded), k-major within each panel.
-//
-//perf:inline
-func packedALen(a *Matrix, r0, r1 int) int {
-	w := panelW
-	panels := (r1 - r0 + w - 1) / w
-	return panels * w * a.Cols
-}
-
-// packedBLen returns the packed size of b: full panelW column panels
-// (zero padded), k-major within each panel.
-//
-//perf:inline
-func packedBLen(b *Matrix) int {
-	w := panelW
-	panels := (b.Cols + w - 1) / w
-	return panels * w * b.Rows
-}
-
-// packA copies rows [r0, r1) of a into pA as panelW-row panels, k-major
-// within each panel, with alpha folded into the values (matching the
-// alpha*a[i][k] factor of the unpacked kernel, so reduction order and
-// rounding are unchanged). Panel rows past r1 are zero. Each source row is
-// read sequentially and scattered into its k-major slot, so the expensive
+// packA copies a into pA as panelW-row panels, k-major within each
+// panel, with alpha folded into the values (matching the alpha*a[i][k]
+// factor of the unpacked kernel, so reduction order and rounding are
+// unchanged). Panel rows past a.Rows are zero. Each source row is read
+// sequentially and scattered into its k-major slot, so the expensive
 // direction of the transpose stays on the small packed buffer.
-func packA(alpha float64, a *Matrix, r0, r1 int, pA []float64) {
+func packA(alpha float64, a *Matrix, pA []float64) {
 	w := panelW
-	kk := a.Cols
+	m, kk := a.Rows, a.Cols
 	idx := 0
-	for ip := r0; ip < r1; ip += w {
-		rows := min(w, r1-ip)
+	for ip := 0; ip < m; ip += w {
+		rows := min(w, m-ip)
 		for i := 0; i < rows; i++ {
 			row := a.Data[(ip+i)*a.Stride : (ip+i)*a.Stride+kk]
-			//lint:ignore perfbce the k-major scatter index idx+k*w+i is beyond the range prover; the panel is sized packedALen up front
+			//lint:ignore perfbce the k-major scatter index idx+k*w+i is beyond the range prover; the panel is sized PackALen up front
 			//perf:hotloop
 			for k, v := range row {
 				pA[idx+k*w+i] = alpha * v
@@ -405,19 +353,19 @@ func packB(b *Matrix, pB []float64) {
 }
 
 // gemmPacked runs the register-blocked kernels over the packed panels of a
-// (rows [r0, r1), packed in pA starting at r0's panel) and b (packed in
-// pB), accumulating into dst. When panelW is avxPanelW, full tiles run
-// kernel8x8Asm and edge tiles fmaPackedAsm, with the same arithmetic; the
-// portable configuration runs the scalar 4x4 micro-kernel. Each tile folds its k-ascending partial sums in
-// registers and adds the total to dst once, so the reduction order depends
-// only on the operand shapes — never on the parallel split or the tile an
-// element lands in — and results are bit-for-bit reproducible run to run.
-func gemmPacked(kk int, pA, pB []float64, dst *Matrix, r0, r1 int) {
-	n := dst.Cols
+// (pA) and b (pB), accumulating into dst. When panelW is avxPanelW, full
+// tiles run kernel8x8Asm and edge tiles fmaPackedAsm, with the same
+// arithmetic; the portable configuration runs the scalar 4x4
+// micro-kernel. Each tile folds its k-ascending partial sums in registers
+// and adds the total to dst once, so the reduction order depends only on
+// the operand shapes — never on the tile an element lands in — and
+// results are bit-for-bit reproducible run to run.
+func gemmPacked(kk int, pA, pB []float64, dst *Matrix) {
+	m, n := dst.Rows, dst.Cols
 	w := panelW
 	panel := w * kk
-	for ip, pi := r0, 0; ip < r1; ip, pi = ip+w, pi+1 {
-		mr := min(w, r1-ip)
+	for ip, pi := 0, 0; ip < m; ip, pi = ip+w, pi+1 {
+		mr := min(w, m-ip)
 		pa := pA[pi*panel : (pi+1)*panel]
 		for jp, pj := 0, 0; jp < n; jp, pj = jp+w, pj+1 {
 			nr := min(w, n-jp)
@@ -482,57 +430,6 @@ func microKernel(kk int, pa, pb []float64, w int, dst *Matrix, i0, j0, mr, nr in
 			drow[j] += ai[j]
 		}
 	}
-}
-
-// gemmParallel splits the rows of dst into bands, one goroutine per band.
-// The packed B panels are shared read-only across workers; each worker
-// packs its own A band. Per-row reduction order matches the serial packed
-// path, so enabling parallelism never changes results.
-//
-//perf:coldpath
-func gemmParallel(alpha float64, a, b, dst *Matrix) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	// Band boundaries snap to the packing width so no two workers write
-	// the same dst row and every band starts on a panel boundary.
-	band := (a.Rows + workers - 1) / workers
-	band = (band + panelW - 1) / panelW * panelW
-	if band >= a.Rows {
-		// One band: skip the goroutine and its bookkeeping allocations —
-		// a single-P runtime must keep the 0 allocs/op solve contract.
-		if panelOK(a.Rows, a.Cols, b.Cols) {
-			pb := getPackBuf()
-			pb.b = ensureFloats(pb.b, packedBLen(b))
-			packB(b, pb.b)
-			pb.a = ensureFloats(pb.a, packedALen(a, 0, a.Rows))
-			packA(alpha, a, 0, a.Rows, pb.a)
-			gemmPacked(a.Cols, pb.a, pb.b, dst, 0, a.Rows)
-			putPackBuf(pb)
-		} else {
-			gemmSerial(alpha, a, b, dst, 0, a.Rows)
-		}
-		return
-	}
-	shared := getPackBuf()
-	shared.b = ensureFloats(shared.b, packedBLen(b))
-	packB(b, shared.b)
-	var wg sync.WaitGroup
-	for r0 := 0; r0 < a.Rows; r0 += band {
-		r1 := min(r0+band, a.Rows)
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			pb := getPackBuf()
-			pb.a = ensureFloats(pb.a, packedALen(a, r0, r1))
-			packA(alpha, a, r0, r1, pb.a)
-			gemmPacked(a.Cols, pb.a, shared.b, dst, r0, r1)
-			putPackBuf(pb)
-		}(r0, r1)
-	}
-	wg.Wait()
-	putPackBuf(shared)
 }
 
 // PackedA is a reusable packed image of alpha*A: panelW-row panels,
@@ -607,7 +504,7 @@ func PackAInto(buf []float64, alpha float64, a *Matrix) PackedA {
 	if len(buf) < need {
 		panic("mat: PackAInto buffer too small")
 	}
-	packA(alpha, a, 0, a.Rows, buf[:need])
+	packA(alpha, a, buf[:need])
 	p := PackedA{rows: a.Rows, k: a.Cols, w: panelW, alpha: alpha, data: buf[:need]}
 	if !PackStandalone(a.Rows, a.Cols) {
 		//lint:ignore perfescape the header copy is the documented one-time pack cost; MulAddPacked reads it without re-escaping
@@ -641,10 +538,9 @@ func checkPacked(dst *Matrix, pa PackedA, b *Matrix) {
 // MulAddPacked computes dst += alpha*A*b where alpha*A was prepacked into
 // pa. b is packed into bScratch (length at least PackBLen(b.Rows, b.Cols);
 // pass nil to draw from the internal pool) and the product runs on the
-// register-blocked kernels, splitting row bands across goroutines for
-// large shapes when parallelism is enabled; a b narrower than one panel is
-// read in place instead, with no packing and no scratch, and a single
-// column into a contiguous dst runs the column kernel. Shapes PanelPacked
+// register-blocked kernels; a b narrower than one panel is read in place
+// instead, with no packing and no scratch, and a single column into a
+// contiguous dst runs the column kernel. Shapes PanelPacked
 // rejects fall back to plain GEMM on the recorded source operand, so the
 // result is bit-identical to GEMM(alpha, a, b, 1, dst) for every shape.
 // A standalone pa never falls back. dst must be pa.Rows() x b.Cols and
@@ -680,11 +576,7 @@ func MulAddPacked(dst *Matrix, pa PackedA, b *Matrix, bScratch []float64) {
 		buf = buf[:need]
 	}
 	packB(b, buf)
-	if pa.rows*pa.k*b.Cols >= parallelThreshold && parallelOn.Load() {
-		mulAddPackedParallel(pa, buf, dst)
-	} else {
-		gemmPacked(pa.k, pa.data, buf, dst, 0, pa.rows)
-	}
+	gemmPacked(pa.k, pa.data, buf, dst)
 	if pbuf != nil {
 		putPackBuf(pbuf)
 	}
@@ -716,37 +608,6 @@ func MulPackedPair(dst *Matrix, pa PackedA, b *Matrix, pc PackedA, c *Matrix, bS
 		fmaColPairAsm(pa.k, &pa.data[p], &pa.data[secondPanel(p, sa, n)], &b.Data[0], b.Stride,
 			pc.k, &pc.data[q], &pc.data[secondPanel(q, sc, n)], &c.Data[0], c.Stride, &dst.Data[i], n)
 	}
-}
-
-// mulAddPackedParallel fans the packed product out across row bands. Both
-// operands are already packed, so workers slice the shared panels
-// read-only; bands snap to the panel width, keeping per-row reduction
-// order identical to the serial path.
-//
-//perf:coldpath
-func mulAddPackedParallel(pa PackedA, pB []float64, dst *Matrix) {
-	w := panelW
-	workers := runtime.GOMAXPROCS(0)
-	if workers > pa.rows {
-		workers = pa.rows
-	}
-	band := (pa.rows + workers - 1) / workers
-	band = (band + w - 1) / w * w
-	if band >= pa.rows {
-		// One band: same arithmetic, no goroutine bookkeeping.
-		gemmPacked(pa.k, pa.data, pB, dst, 0, pa.rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for r0 := 0; r0 < pa.rows; r0 += band {
-		r1 := min(r0+band, pa.rows)
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			gemmPacked(pa.k, pa.data[r0/w*w*pa.k:], pB, dst, r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
 }
 
 // Mul computes dst = a*b. dst must not alias a or b.

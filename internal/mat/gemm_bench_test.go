@@ -10,10 +10,6 @@ import "testing"
 // machine); with the pool it reports 0 allocs/op and the delta against the
 // contiguous case is just the gather's O(n) copy.
 func BenchmarkGEMVStridedColumn(b *testing.B) {
-	prev := ParallelEnabled()
-	SetParallel(false)
-	defer SetParallel(prev)
-
 	const n = 64
 	a := New(n, n)
 	fillSeq(a, 0.5)

@@ -115,23 +115,6 @@ func TestMulShapeMismatch(t *testing.T) {
 	Mul(New(2, 2), New(2, 3), New(2, 2))
 }
 
-func TestGEMMParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	// Big enough to cross parallelThreshold (n^3 = 2^21 > 2^18).
-	n := 128
-	a, b := Random(n, n, rng), Random(n, n, rng)
-	par := New(n, n)
-	Mul(par, a, b) // parallel path
-	ser := New(n, n)
-	old := ParallelEnabled()
-	SetParallel(false)
-	Mul(ser, a, b)
-	SetParallel(old)
-	if !par.Equal(ser) {
-		t.Fatal("parallel GEMM differs from serial")
-	}
-}
-
 func TestMulTrans(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := Random(3, 5, rng)

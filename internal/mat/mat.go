@@ -1,6 +1,6 @@
 // Package mat implements the dense linear algebra substrate used by the
 // block tridiagonal solvers: a row-major float64 matrix type with blocked
-// (and optionally parallel) matrix multiplication, pivoted LU factorization,
+// and packed matrix multiplication, pivoted LU factorization,
 // triangular solves with multiple right-hand sides, matrix inversion and the
 // standard norms.
 //
@@ -37,18 +37,29 @@ type Matrix struct {
 }
 
 // New returns a freshly allocated zero matrix with r rows and c columns.
+// It panics if either dimension is negative or r*c overflows an int.
 func New(r, c int) *Matrix {
+	return &Matrix{Rows: r, Cols: c, Stride: c, Data: make([]float64, area(r, c))}
+}
+
+// area returns r*c, panicking if either dimension is negative or the
+// product overflows an int.
+func area(r, c int) int {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimensions %dx%d", r, c))
 	}
-	return &Matrix{Rows: r, Cols: c, Stride: c, Data: make([]float64, r*c)}
+	if c != 0 && r > math.MaxInt/c {
+		panic(fmt.Sprintf("mat: dimensions %dx%d overflow an int", r, c))
+	}
+	return r * c
 }
 
 // NewFromSlice returns an r x c matrix whose rows are filled from data in
-// row-major order. The slice is copied. It panics if len(data) != r*c.
+// row-major order. The slice is copied. It panics if len(data) != r*c, or
+// on dimensions New rejects.
 func NewFromSlice(r, c int, data []float64) *Matrix {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("mat: NewFromSlice: need %d values, got %d", r*c, len(data)))
+	if n := area(r, c); len(data) != n {
+		panic(fmt.Sprintf("mat: NewFromSlice: need %d values, got %d", n, len(data)))
 	}
 	m := New(r, c)
 	copy(m.Data, data)

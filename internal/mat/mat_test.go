@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -36,6 +37,21 @@ func TestNewFromSlicePanicsOnWrongLen(t *testing.T) {
 func TestNewPanicsOnNegative(t *testing.T) {
 	defer expectPanic(t, "New")
 	New(-1, 2)
+}
+
+// A size whose product wraps to 0 must not yield a huge matrix over no
+// storage.
+func TestNewPanicsOnOverflow(t *testing.T) {
+	const half = 1 << (bits.UintSize / 2) // half*half wraps to 0
+	for name, f := range map[string]func(){
+		"New":          func() { New(half, half) },
+		"NewFromSlice": func() { NewFromSlice(half, half, nil) },
+	} {
+		func() {
+			defer expectPanic(t, name)
+			f()
+		}()
+	}
 }
 
 func TestSetAtAddAt(t *testing.T) {

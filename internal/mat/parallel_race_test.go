@@ -5,92 +5,38 @@ import (
 	"testing"
 )
 
-// TestParallelToggleRace hammers SetParallel from one goroutine while
-// several others run large multiplications that straddle the parallel
-// dispatch threshold. Under -race this proves the knob is safely published;
-// the Equal check proves toggling mid-stream never changes results (both
-// paths use the same per-row reduction order).
-func TestParallelToggleRace(t *testing.T) {
-	prev := ParallelEnabled()
-	defer SetParallel(prev)
-
-	const n = 128 // n^3 is above parallelThreshold
-	a := New(n, n)
-	b := New(n, n)
-	fillSeq(a, 0.5)
-	fillSeq(b, 0.25)
-	want := New(n, n)
-	Mul(want, a, b)
-
-	stop := make(chan struct{})
-	var toggler sync.WaitGroup
-	toggler.Add(1)
-	go func() {
-		defer toggler.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				SetParallel(i%2 == 0)
-			}
-		}
-	}()
-
-	var workers sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			dst := New(n, n)
-			for i := 0; i < 20; i++ {
-				Mul(dst, a, b)
-				if !dst.Equal(want) {
-					t.Error("result changed while toggling SetParallel")
-					return
-				}
-			}
-		}()
-	}
-	workers.Wait()
-	close(stop)
-	toggler.Wait()
-}
-
-// TestMulAddPackedParallelRace runs concurrent panelized accumulations off
-// one shared PackedA while the parallel dispatch is enabled. Under -race
-// this proves the packed panel is safely shared read-only across worker
-// goroutines and across concurrent callers; the Equal check proves the
-// parallel bands (which snap to the panel width) reproduce the serial
-// result bit-for-bit.
+// TestMulAddPackedParallelRace runs Mul and MulAddPacked from four
+// goroutines at once on one shared PackedA, with every pack scratch drawn
+// from the pack pool. Under -race this proves a pack is safely shared
+// read-only across concurrent callers and that the pool hands each buffer
+// to one caller at a time; every result must equal a lone caller's bit for
+// bit.
 func TestMulAddPackedParallelRace(t *testing.T) {
-	prev := ParallelEnabled()
-	defer SetParallel(prev)
-
-	const m, k, n = 64, 64, 64 // m*k*n crosses parallelThreshold
-	a := New(m, k)
-	b := New(k, n)
+	const m, k, n = 64, 64, 64 // packed on both kernel sets
+	a, b := New(m, k), New(k, n)
 	fillSeq(a, 0.5)
 	fillSeq(b, 0.25)
 	pa := NewPackedA(1, a)
+	wantMul, wantPacked := New(m, n), New(m, n)
+	Mul(wantMul, a, b)
+	MulAddPacked(wantPacked, pa, b, nil)
 
-	SetParallel(false)
-	want := New(m, n)
-	MulAddPacked(want, pa, b, nil)
-
-	SetParallel(true)
 	var workers sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			dst := New(m, n)
-			bs := make([]float64, PackBLen(k, n))
+			got := New(m, n)
 			for i := 0; i < 10; i++ {
-				dst.Zero()
-				MulAddPacked(dst, pa, b, bs)
-				if !dst.Equal(want) {
-					t.Error("parallel MulAddPacked differs from serial result")
+				Mul(got, a, b)
+				if !got.Equal(wantMul) {
+					t.Error("concurrent Mul differs from a lone caller's result")
+					return
+				}
+				got.Zero()
+				MulAddPacked(got, pa, b, nil)
+				if !got.Equal(wantPacked) {
+					t.Error("concurrent MulAddPacked differs from a lone caller's result")
 					return
 				}
 			}

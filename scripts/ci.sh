@@ -5,6 +5,11 @@ set -eux
 
 go build ./...
 go vet ./...
+# Formatting gate: gofmt must list no Go file. The analyzer fixtures under
+# testdata (some unparsable on purpose) and the benchmark's build directory
+# are not the module's code.
+unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -exec gofmt -l {} +)
+test -z "$unformatted"
 # Domain lint, once: the text stream on stdout gates the build while the
 # same run is archived as SARIF for code-scanning upload.
 go run ./cmd/blocktri-lint -format text,sarif -sarif-out reports/lint.sarif ./...
@@ -20,6 +25,12 @@ BLOCKTRI_NOAVX512=1 go test -count=1 ./internal/mat ./internal/core ./internal/s
 # seeded with genuine factor files (FuzzLoadFactor). It must reject or
 # load every input, never panic, and whatever it loads must solve.
 go test ./internal/core -run '^$' -fuzz '^FuzzLoadFactor$' -fuzztime 10s
+# Comm payloads and HTTP matrix bodies are untrusted too: each decoder
+# must reject or decode every input without panicking, comm payloads
+# must re-encode to themselves, and a registered matrix may hold no more
+# values than its body has bytes.
+go test ./internal/comm -run '^$' -fuzz '^FuzzTryDecodeMatrices$' -fuzztime 10s
+go test ./cmd/blocktri-serve -run '^$' -fuzz '^FuzzMatrixJSON$' -fuzztime 10s
 # Differential sweep (make verify): every solver, Dense LU included, over
 # random (N, M, P, R) in every problem family, N < P included, each held
 # to its residual bound, and ARD bit-identical to RD. Under a second.
